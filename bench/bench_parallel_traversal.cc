@@ -1,11 +1,12 @@
-// Experiment E16: speedup of the parallel §III fold (TraverseParallel /
-// TraverseParallelGoverned) over the sequential one, as a function of pool
-// width, on a 100k-edge Barabási–Albert graph (heavy-tailed — the case
-// work-stealing exists for) and a Watts–Strogatz graph (uniform degrees —
-// the embarrassing-parallel best case). Also measures the price of the
-// governed replay ledger relative to the ungoverned merge.
+// Experiment E16: speedup of the parallel §III fold
+// (TraverseParallelGoverned under an unlimited ExecContext) over the
+// sequential one, as a function of pool width, on a 100k-edge
+// Barabási–Albert graph (heavy-tailed — the case work-stealing exists for)
+// and a Watts–Strogatz graph (uniform degrees — the embarrassing-parallel
+// best case). BM_ParallelGovernedFold repeats the Barabási–Albert rows
+// with the --trace registry attached, for the span breakdown.
 //
-// Run: build/bench/bench_parallel_traversal --benchmark_min_time=1s
+// Run: build/bench/bench_parallel_traversal --benchmark_min_time=1
 // Results are recorded in EXPERIMENTS.md (E16). Wall-clock speedup is
 // meaningful only on a machine with that many physical cores; the
 // differential tests, not this bench, are the correctness story.
@@ -83,8 +84,10 @@ void BM_ParallelFold(benchmark::State& state) {
   options.pool = &pool;
   size_t paths = 0;
   for (auto _ : state) {
-    Result<PathSet> result = TraverseParallel(graph, spec, options);
-    paths = result.ok() ? result->size() : 0;
+    ExecContext unlimited;
+    Result<GovernedPathSet> result =
+        TraverseParallelGoverned(graph, spec, unlimited, options);
+    paths = result.ok() ? result->paths.size() : 0;
     benchmark::DoNotOptimize(result);
   }
   state.counters["paths"] = static_cast<double>(paths);
@@ -95,9 +98,9 @@ BENCHMARK(BM_ParallelFold)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The governed parallel fold pays for the replay ledger: every shard's
-// accounting is re-driven through the caller's ExecContext after the
-// expansion. This measures that tax at full budget (no truncation).
+// The same fold on the heavy-tailed graph with the trace registry attached
+// (a no-op unless --trace is given), so a traced run reports the seed,
+// shard and replay spans behind the BM_ParallelFold timings.
 void BM_ParallelGovernedFold(benchmark::State& state) {
   const MultiRelationalGraph& graph = HeavyTailGraph();
   const TraversalSpec spec = LabeledChain();

@@ -13,8 +13,8 @@
 //     door as well-formed truncated-empty degradations, and the p99 of
 //     what IS admitted stays near the uncontended p99;
 //   * admission=0 — every cap is set beyond the batch size, so nothing is
-//     ever refused: overload piles onto the evaluation pool and the
-//     latency of every query grows with the backlog.
+//     ever refused: overload piles onto the cores and the latency of every
+//     query grows with the backlog.
 //
 // The load axis is load_x10 (offered rate as tenths of the measured
 // uncontended capacity): 5 = half load, 10 = saturation, 20 = 2x
@@ -59,11 +59,12 @@ using service::QueryService;
 using service::SnapshotRegistry;
 using service::TenantQuota;
 
-// Size the serving side to the machine: an evaluation pool as wide as the
-// hardware, and an in-flight cap of half that (each admitted query keeps
-// real parallel speedup instead of time-slicing the pool). The issuer pool
-// only needs enough threads to keep the arrival schedule honest — issuers
-// spend their lives asleep or blocked in Execute.
+// Size the serving side to the machine: a pool as wide as the hardware
+// (the service's default global in-flight cap; queries evaluate
+// sequentially on the issuing thread), and a tenant in-flight cap of half
+// that. The issuer pool only needs enough threads to keep the arrival
+// schedule honest — issuers spend their lives asleep or blocked in
+// Execute.
 inline size_t HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

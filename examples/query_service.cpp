@@ -77,6 +77,8 @@ int main() {
     return 1;
   }
 
+  // Queries run sequentially on the calling thread; the pool only sizes
+  // the service's default global in-flight cap.
   ThreadPool pool(2);
   service::QueryService::Options options;
   options.pool = &pool;

@@ -4,17 +4,20 @@
 # Builds the tree in a dedicated build directory with
 # -DMRPA_SANITIZE=thread (see the root CMakeLists.txt) and runs the
 # `parallel`-, `arena`-, `obs`-, `storage`-, and `service`-labeled ctest
-# suites — thread_pool_test, parallel_differential_test,
-# recognizer_differential_test, arena_differential_test, the obs_* suites,
-# the snapshot_* suites, and the service_* suites — under TSAN. These are
+# suites — thread_pool_test, parallel_differential_test (the one remaining
+# intra-query parallel fold, TraverseParallelGoverned, against the
+# sequential engines), recognizer_differential_test (sequential since the
+# batch recognizer lost its pool; it keeps the label with the other
+# differential suites), arena_differential_test, the obs_* suites, the
+# snapshot_* suites, and the service_* suites — under TSAN. These are
 # the suites that actually exercise cross-thread shard expansion
 # (including the per-shard PathArenas), the work-stealing pool, the replay
 # merge, the per-shard observability slabs (worker threads write
 # speculation counters into ObsRegistry at pool width 8), parallel
 # traversal over mmap'ed SnapshotUniverse backings at pool width 8, and
 # the serving substrate (epoch-reclaimed snapshot hot-swap, concurrent
-# admission, and the short default chaos soak; scripts/ci_chaos.sh runs
-# the long soak), plus the `compiler`-labeled suites — the pass-pipeline
+# admission, and the short default chaos soak — concurrent queries, each
+# evaluated sequentially; scripts/ci_chaos.sh runs the long soak), plus the `compiler`-labeled suites — the pass-pipeline
 # differential harness runs the speculate+replay executor against the
 # shared deadline/cancel machinery, which is the compiler's only
 # thread-visible surface, plus the `frontier`-labeled suites — the

@@ -109,16 +109,6 @@ struct ParallelTraversalOptions {
   // Never cut shards smaller than this many seed paths; tiny inputs run on
   // fewer shards (possibly one, i.e. effectively sequentially).
   size_t min_shard_size = 16;
-  // When false (default) every shard speculates under the parent's FULL
-  // remaining budget, which is what guarantees byte-identical truncation:
-  // a shard can only trip at-or-after the point the sequential fold would,
-  // so the sequential-order accounting replay always trips first. When
-  // true, countable budgets are SplitAcross() the shards instead — bounded
-  // total speculation (worst case one budget's worth per shard becomes one
-  // budget total), at the cost that a shard's split share may trip before
-  // the sequential trip point; the result is then still a correct canonical
-  // prefix with accurate metadata, just possibly a shorter one.
-  bool split_budgets = false;
 };
 
 // The parallel §III fold. Seeds on the calling thread, shards the seed
@@ -130,15 +120,12 @@ struct ParallelTraversalOptions {
 // counters (elapsed time aside) — is byte-identical to TraverseGoverned for
 // step/path/byte budgets and injected faults; deadline and cancellation
 // trips depend on wall clock and may truncate at a different (still
-// canonical-prefix) point. See "Parallel traversal" in DESIGN.md.
+// canonical-prefix) point. See "Parallel traversal" in DESIGN.md. Kept as
+// the measured baseline of experiment E16, where it shows no speedup over
+// the sequential fold on a 4-core host; no serving path runs it.
 Result<GovernedPathSet> TraverseParallelGoverned(
     const EdgeUniverse& universe, const TraversalSpec& spec, ExecContext& ctx,
     const ParallelTraversalOptions& options);
-
-// Ungoverned parallel form: same contract as Traverse().
-Result<PathSet> TraverseParallel(const EdgeUniverse& universe,
-                                 const TraversalSpec& spec,
-                                 const ParallelTraversalOptions& options);
 
 }  // namespace mrpa
 

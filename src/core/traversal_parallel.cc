@@ -16,9 +16,8 @@
 //      pool under a *quiet* ExecContext (ExecContext::ShardContext: shared
 //      cancel token, shared absolute deadline, fault probes off) whose
 //      countable budgets bound speculation: the parent's full remaining
-//      budget by default, or a SplitAcross() share in thrifty mode. The
-//      shard records a ledger: per level, per source path, how many
-//      extensions it emitted and how the out-run ended.
+//      budget. The shard records a ledger: per level, per source path, how
+//      many extensions it emitted and how the out-run ended.
 //
 //      Each shard folds through its own prefix-sharing PathArena
 //      (core/path_arena.h): extensions are 16-byte node pushes, never
@@ -40,14 +39,13 @@
 //      cut at the replayed emission count — canonical order by
 //      construction, adopted O(1) via PathSet::FromSortedUnique.
 //
-// Coverage argument (default, full-remaining budgets): a shard's local
-// charge for any prefix of its work equals the real context's charge for
-// that prefix MINUS earlier shards' contributions, so the shard trips
-// at-or-after the point the sequential fold would — replay always runs out
-// of real budget before it runs out of ledger. The exceptions are wall
-// clock (deadline/cancel trip whenever the clock says so; the replayed
-// prefix is still a correct canonical prefix with accurate metadata) and
-// thrifty split budgets (a shard's share can trip early; same guarantee).
+// Coverage argument: a shard's local charge for any prefix of its work
+// equals the real context's charge for that prefix MINUS earlier shards'
+// contributions, so the shard trips at-or-after the point the sequential
+// fold would — replay always runs out of real budget before it runs out of
+// ledger. The exception is wall clock
+// (deadline/cancel trip whenever the clock says so; the replayed prefix is
+// still a correct canonical prefix with accurate metadata).
 //
 // Thread-safety note: shards read the EdgeUniverse concurrently, so its
 // const accessors must be thread-safe. The immutable CSR snapshot
@@ -108,8 +106,8 @@ struct ShardLedger {
   // Final-level node ids into `arena`, canonical order by construction.
   std::vector<PathNodeId> final_ids;
   // The quiet context's trip status when the shard stopped early; OK for a
-  // completed shard. Only surfaced on under-coverage (split budgets or wall
-  // clock), where replay cannot reproduce the trip from the real context.
+  // completed shard. Only surfaced on under-coverage (wall clock), where
+  // replay cannot reproduce the trip from the real context.
   Status local_status;
 };
 
@@ -332,12 +330,7 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   num_shards = std::min(num_shards, (seed.size() + min_shard - 1) / min_shard);
   if (num_shards == 0) num_shards = 1;
 
-  std::vector<ExecLimits> shard_limits;
-  if (options.split_budgets) {
-    shard_limits = ctx.RemainingLimits().SplitAcross(num_shards);
-  } else {
-    shard_limits.assign(num_shards, ctx.RemainingLimits());
-  }
+  const ExecLimits shard_limits = ctx.RemainingLimits();
 
   std::vector<ShardLedger> ledgers(num_shards);
   const size_t base = seed.size() / num_shards;
@@ -363,7 +356,7 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   options.pool->ParallelFor(num_shards, [&](size_t s) {
     ExpandShard(universe, steps, seed, ranges[s].first, ranges[s].second,
                 hard_limit, policy,
-                ExecContext::ShardContext(ctx, shard_limits[s]), ledgers[s],
+                ExecContext::ShardContext(ctx, shard_limits), ledgers[s],
                 reg, run_span.id(), s);
   });
 
@@ -503,9 +496,9 @@ Result<GovernedPathSet> TraverseParallelGoverned(
             // The shard saw one more matching edge; sequentially it would
             // face the hard cap, then ChargePaths. Probe the remaining
             // budget instead of charging blindly: if the real budget is
-            // dry, charging reproduces the sequential trip; if not (split
-            // budgets / wall clock), this is under-coverage — stop with the
-            // shard's own status, without minting a phantom path charge.
+            // dry, charging reproduces the sequential trip; if not (wall
+            // clock), this is under-coverage — stop with the shard's own
+            // status, without minting a phantom path charge.
             if (staged >= hard_limit) return HardOverflow(hard_limit);
             std::optional<size_t> left = ctx.RemainingLimits().max_paths;
             if (left.has_value() && *left == 0) {
@@ -535,17 +528,6 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   flush_obs();
   out.stats = ctx.Snapshot();
   return out;
-}
-
-Result<PathSet> TraverseParallel(const EdgeUniverse& universe,
-                                 const TraversalSpec& spec,
-                                 const ParallelTraversalOptions& options) {
-  ExecContext unlimited;
-  Result<GovernedPathSet> result =
-      TraverseParallelGoverned(universe, spec, unlimited, options);
-  if (!result.ok()) return result.status();
-  if (result->truncated) return result->limit;
-  return std::move(result->paths);
 }
 
 }  // namespace mrpa

@@ -413,26 +413,4 @@ Result<GovernedPathSet> EvaluatePlannedGoverned(const PathExpr& expr,
                                options.limits);
 }
 
-Result<GovernedPathSet> EvaluatePlannedParallelGoverned(
-    const PathExpr& expr, const EdgeUniverse& universe, ExecContext& ctx,
-    const ParallelTraversalOptions& parallel, const EvalOptions& options) {
-  PathExprPtr simplified = Simplify(expr.shared_from_this());
-  std::optional<std::vector<EdgePattern>> chain =
-      ExtractAtomChain(*simplified);
-  if (chain.has_value()) {
-    ChainPlan plan = PlanChain(universe, *chain);
-    if (plan.direction == ChainDirection::kForward) {
-      // Count the forward decision here; the backward/fallback cases fall
-      // through to EvaluatePlannedGoverned, which does its own counting.
-      if (obs::ObsRegistry* reg = ctx.observer(); reg != nullptr) {
-        reg->Add(obs::Metric::kPlannerPlansForward, 1);
-      }
-      return TraverseParallelGoverned(
-          universe, TraversalSpec{*chain, options.limits}, ctx, parallel);
-    }
-  }
-  // Backward plans and non-chain expressions: the sequential machinery.
-  return EvaluatePlannedGoverned(*simplified, universe, ctx, options);
-}
-
 }  // namespace mrpa

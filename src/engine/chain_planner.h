@@ -118,16 +118,6 @@ Result<GovernedPathSet> EvaluatePlannedGoverned(const PathExpr& expr,
                                                 ExecContext& ctx,
                                                 const EvalOptions& options = {});
 
-// Governed one-call form with a parallel fold: forward-planned atom chains
-// run through TraverseParallelGoverned (byte-identical to the sequential
-// plan — see core/traversal.h); backward-planned chains and non-chain
-// expressions keep the sequential paths above (the in-index fold and the
-// bottom-up evaluator are not parallelized). A null parallel.pool makes
-// this exactly EvaluatePlannedGoverned.
-Result<GovernedPathSet> EvaluatePlannedParallelGoverned(
-    const PathExpr& expr, const EdgeUniverse& universe, ExecContext& ctx,
-    const ParallelTraversalOptions& parallel, const EvalOptions& options = {});
-
 }  // namespace mrpa
 
 #endif  // MRPA_ENGINE_CHAIN_PLANNER_H_

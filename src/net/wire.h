@@ -91,6 +91,8 @@ enum class AnswerMode : uint8_t {
 // remaining window from the caller's deadline).
 struct WireRequest {
   std::string tenant;
+  // Who picks the fold direction: kTraversal is planned by the server
+  // (PlanChain), kChainForward / kChainBackward pin forward / backward.
   service::QueryKind kind = service::QueryKind::kTraversal;
   AnswerMode mode = AnswerMode::kPaths;
   uint8_t priority = 0;

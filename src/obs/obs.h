@@ -60,7 +60,7 @@ namespace mrpa::obs {
 enum class Metric : uint32_t {
   // Mirrors of the ExecContext accounting, added as deltas at operator
   // exit (AddExecStatsDelta in util/exec_context.h). Identical between
-  // Traverse and TraverseParallel by the PR 2 replay guarantee.
+  // TraverseGoverned and TraverseParallelGoverned by the replay guarantee.
   kExecStepsExpanded = 0,
   kExecPathsYielded,
   kExecBytesCharged,

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/traversal.h"
 #include "engine/chain_planner.h"
 #include "obs/obs.h"
 #include "util/fault_injector.h"
@@ -42,8 +41,8 @@ QueryService::QueryService(SnapshotRegistry& snapshots, Options options)
     : snapshots_(snapshots),
       admission_([&] {
         // The admission controller and the service share one metrics sink,
-        // and the global concurrency cap defaults to the evaluation pool's
-        // width (queries beyond it would only queue inside the pool).
+        // and the global concurrency cap defaults to the pool's width: the
+        // number of queries the host runs at once.
         AdmissionController::Options admission = options.admission;
         if (admission.obs == nullptr) admission.obs = options.obs;
         if (admission.global_max_in_flight == 0 && options.pool != nullptr) {
@@ -53,7 +52,6 @@ QueryService::QueryService(SnapshotRegistry& snapshots, Options options)
         return admission;
       }()),
       retry_(options.retry),
-      pool_(options.pool),
       obs_(options.obs),
       retry_seed_(options.retry_seed) {}
 
@@ -176,31 +174,28 @@ Result<QueryResponse> QueryService::ExecuteOnce(
   ExecContext ctx(effective, request.token);
   ctx.AttachObs(obs_);
 
-  Result<GovernedPathSet> governed =
-      Status::Internal("query kind not dispatched");
+  // One evaluator for every kind. kTraversal lets the planner pick the
+  // cheaper end (⋈◦ is associative, so both directions denote the same
+  // set); the chain kinds pin the direction.
+  ChainDirection direction = ChainDirection::kForward;
   switch (request.kind) {
-    case QueryKind::kTraversal: {
-      TraversalSpec spec;
-      spec.steps = request.steps;
-      if (pool_ != nullptr) {
-        ParallelTraversalOptions parallel;
-        parallel.pool = pool_;
-        governed =
-            TraverseParallelGoverned(guard.universe(), spec, ctx, parallel);
-      } else {
-        governed = TraverseGoverned(guard.universe(), spec, ctx);
+    case QueryKind::kTraversal:
+      direction = PlanChain(guard.universe(), request.steps).direction;
+      if (obs_ != nullptr) {
+        obs_->Add(direction == ChainDirection::kForward
+                      ? obs::Metric::kPlannerPlansForward
+                      : obs::Metric::kPlannerPlansBackward,
+                  1);
       }
       break;
-    }
     case QueryKind::kChainForward:
-      governed = EvaluateChainGoverned(guard.universe(), request.steps,
-                                       ChainDirection::kForward, ctx);
       break;
     case QueryKind::kChainBackward:
-      governed = EvaluateChainGoverned(guard.universe(), request.steps,
-                                       ChainDirection::kBackward, ctx);
+      direction = ChainDirection::kBackward;
       break;
   }
+  Result<GovernedPathSet> governed =
+      EvaluateChainGoverned(guard.universe(), request.steps, direction, ctx);
   if (!governed.ok()) return governed.status();
 
   // A transient fault injected at an ExecContext probe site surfaces as a

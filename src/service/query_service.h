@@ -22,14 +22,25 @@
 // sheds), `result.truncated` is set, and `result.limit` carries the
 // terminal Status. Degraded answers are first-class results, not errors.
 //
+// Evaluation: every query is one sequential EvaluateChainGoverned call
+// (engine/chain_planner.h) against the acquired snapshot. kTraversal runs
+// in the direction PlanChain picks; the chain kinds pin it. There is no
+// pool evaluation — parallelism lives at request level, across the
+// caller's threads.
+//
 // Determinism: for countable budgets (steps/paths/bytes) an admitted
-// query's output is byte-identical to a direct governed run of the same
-// workload against the same snapshot version with the same effective
-// limits — including when the service evaluates on a thread pool (the PR 2
-// replay guarantee) — which is the differential invariant the chaos soak
-// (tests/service_chaos_test.cc) checks on every response. Deadline and
-// cancellation trips depend on wall clock and truncate at a
-// still-canonical-prefix point.
+// query's output is byte-identical to a direct EvaluateChainGoverned run in
+// the same direction against the same snapshot version with the same
+// effective limits — the differential invariant the chaos soak
+// (tests/service_chaos_test.cc) checks on every response. A truncated
+// answer holds the full-length paths emitted before the trip (none when it
+// lands before the last level): the first k in the chosen direction's
+// emission order, returned canonically sorted. Forward emission order is
+// canonical order (a canonical prefix), backward emission order is suffix
+// order (by the path after its first edge, then by the first edge). An
+// untruncated answer is the same set in every direction (⋈◦ associativity).
+// Deadline and cancellation trips depend on wall clock and truncate at an
+// emission-order-prefix point.
 
 #ifndef MRPA_SERVICE_QUERY_SERVICE_H_
 #define MRPA_SERVICE_QUERY_SERVICE_H_
@@ -63,12 +74,12 @@ inline constexpr std::string_view kFaultSiteServiceExecute =
     "service.execute";
 
 // The governed workloads the service executes. All three are pure reads
-// over the acquired snapshot (idempotent, hence retryable).
+// over the acquired snapshot (idempotent, hence retryable) and run the same
+// evaluator; they differ only in who picks the fold direction.
 enum class QueryKind {
-  kTraversal,      // The §III fold (core/traversal.h), pool-parallel when
-                   // the service has one.
-  kChainForward,   // The chain planner's forward fold.
-  kChainBackward,  // The chain planner's backward (in-index) fold.
+  kTraversal,      // Planned: PlanChain picks the cheaper seed end.
+  kChainForward,   // Pinned forward: seed at the first step (§III fold).
+  kChainBackward,  // Pinned backward: seed at the last step (in-index).
 };
 
 struct QueryRequest {
@@ -102,8 +113,9 @@ class QueryService {
   struct Options {
     AdmissionController::Options admission;
     RetryPolicy retry;
-    // Evaluation pool for kTraversal queries; null = sequential. Also
-    // informs the default global in-flight cap.
+    // Only sizes the default global in-flight cap (its width, at least 2)
+    // when admission.global_max_in_flight is 0. Queries never run on it:
+    // evaluation is sequential on the calling thread. May be null.
     ThreadPool* pool = nullptr;
     // Metrics sink shared with the admission controller and the snapshot
     // registry owned by the caller. May be null.
@@ -149,7 +161,6 @@ class QueryService {
   SnapshotRegistry& snapshots_;
   AdmissionController admission_;
   RetryPolicy retry_;
-  ThreadPool* pool_ = nullptr;
   obs::ObsRegistry* obs_ = nullptr;
   uint64_t retry_seed_ = 0;
   std::atomic<uint64_t> call_counter_{0};

@@ -5,10 +5,11 @@
 // and arms injected faults at service.admit / service.execute /
 // service.swap. The invariant is the same one QueryService proved in
 // process, now end-to-end: every deterministic response that crosses the
-// wire is byte-identical to a direct evaluation against the immutable
-// reference copy of the SAME admitted snapshot version — the wire protocol,
-// the event loop, the dispatch queue, and the client's retry loop must be
-// invisible in the answers.
+// wire is byte-identical to a direct evaluation, in the direction the
+// service evaluates it, against the immutable reference copy of the SAME
+// admitted snapshot version — the wire protocol, the event loop, the
+// dispatch queue, and the client's retry loop must be invisible in the
+// answers — and every untruncated one also matches the forward §III fold.
 //
 // Outcome classification mirrors service_chaos_test: wall-clock outcomes
 // (deadline/cancel) and shed exhaustion check SHAPE (the degradation
@@ -121,33 +122,44 @@ class VersionLedger {
   std::map<uint64_t, size_t> content_;
 };
 
-// The direct evaluation the served-and-shipped answer must equal. Runs
-// under a ShardContext so armed faults cannot leak into the reference.
+// The direct evaluation the served-and-shipped answer must equal: mirrors
+// QueryService::ExecuteOnce's dispatch (kTraversal in the direction
+// PlanChain picks, the chain kinds pinned). Runs under a ShardContext so
+// armed faults cannot leak into the reference.
 GovernedPathSet Oracle(const SnapshotUniverse& universe,
                        QueryKind kind,
                        const std::vector<EdgePattern>& steps,
                        const ExecLimits& effective) {
   ExecContext quiet;
   ExecContext ctx = ExecContext::ShardContext(quiet, effective);
-  Result<GovernedPathSet> run = Status::Internal("unreachable");
+  ChainDirection direction = ChainDirection::kForward;
   switch (kind) {
-    case QueryKind::kTraversal: {
-      TraversalSpec spec;
-      spec.steps = steps;
-      run = TraverseGoverned(universe, spec, ctx);
+    case QueryKind::kTraversal:
+      direction = PlanChain(universe, steps).direction;
       break;
-    }
     case QueryKind::kChainForward:
-      run = EvaluateChainGoverned(universe, steps, ChainDirection::kForward,
-                                  ctx);
       break;
     case QueryKind::kChainBackward:
-      run = EvaluateChainGoverned(universe, steps, ChainDirection::kBackward,
-                                  ctx);
+      direction = ChainDirection::kBackward;
       break;
   }
+  Result<GovernedPathSet> run =
+      EvaluateChainGoverned(universe, steps, direction, ctx);
   EXPECT_TRUE(run.ok()) << run.status();
   return run.ok() ? std::move(*run) : GovernedPathSet{};
+}
+
+// The forward §III fold, unbudgeted and fault-free: every untruncated
+// answer, whatever direction produced it, must be exactly this set.
+PathSet ForwardFold(const SnapshotUniverse& universe,
+                    const std::vector<EdgePattern>& steps) {
+  ExecContext quiet;
+  ExecContext ctx = ExecContext::ShardContext(quiet, ExecLimits::Unlimited());
+  TraversalSpec spec;
+  spec.steps = steps;
+  Result<GovernedPathSet> run = TraverseGoverned(universe, spec, ctx);
+  EXPECT_TRUE(run.ok()) << run.status();
+  return run.ok() ? std::move(run->paths) : PathSet{};
 }
 
 struct SoakCounters {
@@ -301,20 +313,29 @@ TEST(NetChaosTest, SocketSoakHoldsTheDifferentialInvariant) {
             << "tenant " << tenant << " version "
             << response->snapshot_version;
         ASSERT_EQ(response->limit, want.limit);
+        const PathSet forward = response->truncated
+                                    ? PathSet{}
+                                    : ForwardFold(references[content],
+                                                  request.steps);
         switch (request.mode) {
           case AnswerMode::kPaths:
             ASSERT_EQ(response->paths, want.paths)
                 << "tenant " << tenant << " version "
                 << response->snapshot_version << " content " << content;
             ASSERT_EQ(response->count, want.paths.size());
+            if (!response->truncated) ASSERT_EQ(response->paths, forward);
             break;
           case AnswerMode::kCount:
             ASSERT_EQ(response->count, want.paths.size());
             ASSERT_TRUE(response->paths.empty());
+            if (!response->truncated) ASSERT_EQ(response->count, forward.size());
             break;
           case AnswerMode::kExists:
             ASSERT_EQ(response->exists, !want.paths.empty());
             ASSERT_TRUE(response->paths.empty());
+            if (!response->truncated) {
+              ASSERT_EQ(response->exists, !forward.empty());
+            }
             break;
         }
         counters.checked.fetch_add(1, std::memory_order_relaxed);

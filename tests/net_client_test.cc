@@ -5,7 +5,8 @@
 //   * answers through the network equal answers from a direct
 //     QueryService::Execute against the same snapshot, for every answer
 //     mode (the single-version differential; net_chaos_test does the
-//     hot-swap version);
+//     hot-swap version), and those equal a direct EvaluateChainGoverned
+//     in the direction the service picks (planned for kTraversal);
 //   * the retry taxonomy holds across the wire — admission sheds and
 //     transport failures retry (including a reconnect to a restarted
 //     server), budget trips and deadlines are terminal;
@@ -29,6 +30,8 @@
 #include <vector>
 
 #include "core/edge_pattern.h"
+#include "core/traversal.h"
+#include "engine/chain_planner.h"
 #include "generators/generators.h"
 #include "graph/multi_graph.h"
 #include "gtest/gtest.h"
@@ -42,6 +45,7 @@
 #include "storage/snapshot_reader.h"
 #include "storage/snapshot_universe.h"
 #include "storage/snapshot_writer.h"
+#include "util/exec_context.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -134,6 +138,35 @@ TEST(NetClientTest, ExecuteMatchesDirectServiceForEveryMode) {
     direct.steps = Steps();
     auto expected = stack.service->Execute("tenant", direct);
     ASSERT_TRUE(expected.ok()) << expected.status();
+    {
+      // Mirrors QueryService::ExecuteOnce's dispatch: one
+      // EvaluateChainGoverned, in the direction PlanChain picks for
+      // kTraversal and pinned for the chain kinds.
+      SnapshotRegistry::Guard guard = stack.registry.Acquire();
+      ChainDirection direction =
+          kind == QueryKind::kChainBackward ? ChainDirection::kBackward
+                                            : ChainDirection::kForward;
+      if (kind == QueryKind::kTraversal) {
+        direction = PlanChain(guard.universe(), direct.steps).direction;
+      }
+      ExecContext ctx(
+          stack.service->EffectiveLimits("tenant", direct).value());
+      auto planned = EvaluateChainGoverned(guard.universe(), direct.steps,
+                                           direction, ctx);
+      ASSERT_TRUE(planned.ok()) << planned.status();
+      EXPECT_EQ(expected->result.paths, planned->paths);
+      EXPECT_EQ(expected->result.truncated, planned->truncated);
+      EXPECT_EQ(expected->result.limit, planned->limit);
+      if (!expected->result.truncated) {
+        // Whatever the direction, the full answer is the forward fold's.
+        ExecContext unlimited;
+        TraversalSpec spec;
+        spec.steps = direct.steps;
+        auto forward = TraverseGoverned(guard.universe(), spec, unlimited);
+        ASSERT_TRUE(forward.ok()) << forward.status();
+        EXPECT_EQ(expected->result.paths, forward->paths);
+      }
+    }
 
     for (const AnswerMode mode :
          {AnswerMode::kPaths, AnswerMode::kCount, AnswerMode::kExists}) {

@@ -10,8 +10,7 @@
 // test alone: 6 seeds × 5 graph/spec draws × (up to 5 budget regimes +
 // 2 fault injections) × 3 pool widths {1, 2, 8} ≈ 630 differential
 // comparisons, comfortably past the 500-case bar before the iterator,
-// fluent-engine, planner, hard-cap, and split-budget suites below add
-// their own.
+// fluent-engine, planner, and hard-cap suites below add their own.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +21,7 @@
 
 #include "core/edge_pattern.h"
 #include "core/path_set.h"
+#include "core/simplify.h"
 #include "core/traversal.h"
 #include "engine/chain_planner.h"
 #include "engine/path_iterator.h"
@@ -148,7 +148,6 @@ Outcome RunSequential(const EdgeUniverse& universe, const TraversalSpec& spec,
 
 Outcome RunParallel(const EdgeUniverse& universe, const TraversalSpec& spec,
                     const ExecLimits& limits, ThreadPool& pool,
-                    bool split_budgets = false,
                     obs::ObsRegistry* reg = nullptr) {
   ExecContext ctx(limits);
   ctx.AttachObs(reg);
@@ -156,7 +155,6 @@ Outcome RunParallel(const EdgeUniverse& universe, const TraversalSpec& spec,
   options.pool = &pool;
   options.shards_per_thread = 4;
   options.min_shard_size = 1;  // Force real sharding even on small seeds.
-  options.split_budgets = split_budgets;
   return FromResult(TraverseParallelGoverned(universe, spec, ctx, options));
 }
 
@@ -177,15 +175,6 @@ void ExpectIdentical(const Outcome& seq, const Outcome& par) {
   EXPECT_EQ(seq.stats.steps_expanded, par.stats.steps_expanded);
   EXPECT_EQ(seq.stats.bytes_charged, par.stats.bytes_charged);
   EXPECT_EQ(seq.stats.truncated, par.stats.truncated);
-}
-
-// True iff `prefix` is exactly the first prefix.size() paths of `full`.
-bool IsCanonicalPrefix(const PathSet& prefix, const PathSet& full) {
-  if (prefix.size() > full.size()) return false;
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (!(prefix[i] == full[i])) return false;
-  }
-  return true;
 }
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {
@@ -261,8 +250,8 @@ TEST_P(ParallelDifferentialTest, GovernedByteIdentity) {
         SCOPED_TRACE("obs-attached, threads " +
                      std::to_string(pool->num_threads()));
         obs::ObsRegistry par_reg;
-        ExpectIdentical(seq, RunParallel(graph, spec, regimes[r], *pool,
-                                         /*split_budgets=*/false, &par_reg));
+        ExpectIdentical(seq,
+                        RunParallel(graph, spec, regimes[r], *pool, &par_reg));
       }
     }
 
@@ -366,74 +355,51 @@ TEST_P(ParallelDifferentialTest, UngovernedMatchesSequential) {
     Result<PathSet> seq = Traverse(graph, spec);
     ASSERT_TRUE(seq.ok());
     for (ThreadPool* pool : Pools()) {
-      ParallelTraversalOptions options;
-      options.pool = pool;
-      options.min_shard_size = 1;
-      Result<PathSet> par = TraverseParallel(graph, spec, options);
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(*seq, *par);
+      Outcome par = RunParallel(graph, spec, ExecLimits::Unlimited(), *pool);
+      ASSERT_TRUE(par.hard.ok()) << par.hard;
+      EXPECT_FALSE(par.truncated);
+      EXPECT_EQ(*seq, par.paths);
     }
   }
 }
 
-// split_budgets trades byte-identity for bounded total speculation; the
-// documented contract is weaker but still strong: the result is a correct
-// canonical PREFIX of the full answer, with honest metadata.
-TEST_P(ParallelDifferentialTest, SplitBudgetsYieldsCanonicalPrefix) {
-  Rng rng(GetParam() * 0xda942042e4dd58b5ULL + 7);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 171 + c + 1);
-    TraversalSpec spec;
-    spec.steps = RandomSteps(rng, graph.num_vertices(), graph.num_labels());
-
-    Outcome full = RunSequential(graph, spec, ExecLimits::Unlimited());
-    ASSERT_TRUE(full.hard.ok());
-    if (full.stats.steps_expanded == 0) continue;
-
-    ExecLimits limits;
-    limits.max_steps =
-        static_cast<size_t>(rng.Between(1, full.stats.steps_expanded));
-    if (full.stats.paths_yielded > 0 && rng.Chance(0.5)) {
-      limits.max_paths =
-          static_cast<size_t>(rng.Between(1, full.stats.paths_yielded));
-    }
-    for (ThreadPool* pool : Pools()) {
-      SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-      Outcome par =
-          RunParallel(graph, spec, limits, *pool, /*split_budgets=*/true);
-      ASSERT_TRUE(par.hard.ok());
-      EXPECT_TRUE(IsCanonicalPrefix(par.paths, full.paths));
-      if (par.truncated) {
-        EXPECT_FALSE(par.limit.ok());
-      } else {
-        EXPECT_EQ(par.paths, full.paths);  // Untruncated ⇒ the full answer.
-      }
-    }
-  }
-}
-
-// The lazy engine: a partition of sharded StepPathIterators drained on the
-// pool tiles the sequential DFS order exactly.
+// The lazy engine: the DFS iterator yields the canonical order, so its
+// drain — whole, or cut by a path budget of k — equals the parallel fold's
+// answer under the same path budget at every pool width.
 TEST_P(ParallelDifferentialTest, IteratorDrainMatches) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 43);
   for (int c = 0; c < 4; ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
     MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 191 + c + 1);
-    std::vector<EdgePattern> steps =
-        RandomSteps(rng, graph.num_vertices(), graph.num_labels());
-    StepPathIterator it(graph, steps);
-    PathSet seq = DrainToPathSet(it);
+    TraversalSpec spec;
+    spec.steps = RandomSteps(rng, graph.num_vertices(), graph.num_labels());
+    StepPathIterator it(graph, spec.steps);
+    PathSet full = DrainToPathSet(it);
     EXPECT_FALSE(it.truncated());
-    for (ThreadPool* pool : Pools()) {
-      EXPECT_EQ(seq, ParallelDrainToPathSet(graph, steps, pool));
+
+    std::vector<ExecLimits> regimes = {ExecLimits::Unlimited()};
+    if (!full.empty()) {
+      ExecLimits limits;
+      limits.max_paths = static_cast<size_t>(rng.Between(1, full.size()));
+      regimes.push_back(limits);
+    }
+    for (const ExecLimits& limits : regimes) {
+      ExecContext iter_ctx(limits);
+      StepPathIterator governed(graph, spec.steps, &iter_ctx);
+      PathSet drained = DrainToPathSet(governed);
+      for (ThreadPool* pool : Pools()) {
+        SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
+        Outcome par = RunParallel(graph, spec, limits, *pool);
+        ASSERT_TRUE(par.hard.ok()) << par.hard;
+        EXPECT_EQ(drained, par.paths);
+      }
     }
   }
 }
 
-// The fluent engine: parallel move expansion must reproduce the sequential
-// traverser population (histories AND cursors, in order) and the
-// max_traversers hard-error point.
+// The fluent engine: a V() seed followed by Out moves walks exactly the
+// joint paths of the matching label chain, so its traverser histories
+// equal the parallel fold's answer at every pool width.
 TEST_P(ParallelDifferentialTest, FluentEngineMatches) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 57);
   for (int c = 0; c < 4; ++c) {
@@ -441,64 +407,37 @@ TEST_P(ParallelDifferentialTest, FluentEngineMatches) {
     MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 211 + c + 1);
     const uint32_t labels = graph.num_labels();
 
-    GraphTraversal base(graph);
-    base.V();
+    GraphTraversal fluent(graph);
+    fluent.V();
+    TraversalSpec spec;
     const size_t moves = 2 + rng.Below(2);
     for (size_t m = 0; m < moves; ++m) {
-      switch (rng.Below(3)) {
-        case 0:
-          base.Out(static_cast<LabelId>(rng.Below(labels)));
-          break;
-        case 1:
-          base.In(static_cast<LabelId>(rng.Below(labels)));
-          break;
-        default:
-          base.Out();
-          break;
+      if (rng.Chance(0.5)) {
+        const LabelId label = static_cast<LabelId>(rng.Below(labels));
+        fluent.Out(label);
+        spec.steps.push_back(EdgePattern::Labeled(label));
+      } else {
+        fluent.Out();
+        spec.steps.push_back(EdgePattern::Any());
       }
     }
 
-    Result<TraversalResult> seq = base.Execute();
-    ASSERT_TRUE(seq.ok());
+    Result<PathSet> seq = fluent.ToPathSet();
+    ASSERT_TRUE(seq.ok()) << seq.status();
     for (ThreadPool* pool : Pools()) {
       SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-      GraphTraversal parallel = base;
-      parallel.WithThreadPool(pool);
-      Result<TraversalResult> par = parallel.Execute();
-      ASSERT_TRUE(par.ok());
-      ASSERT_EQ(seq->traversers.size(), par->traversers.size());
-      for (size_t i = 0; i < seq->traversers.size(); ++i) {
-        EXPECT_EQ(seq->traversers[i].history, par->traversers[i].history);
-        EXPECT_EQ(seq->traversers[i].cursor, par->traversers[i].cursor);
-      }
-    }
-
-    // Hard traverser cap: both engines must fail at the same point with
-    // the same error, or both succeed.
-    if (!seq->traversers.empty()) {
-      const size_t cap = rng.Below(seq->traversers.size()) + 1;
-      GraphTraversal capped = base;
-      capped.WithMaxTraversers(cap);
-      Result<TraversalResult> seq_capped = capped.Execute();
-      for (ThreadPool* pool : Pools()) {
-        GraphTraversal par_capped = capped;
-        par_capped.WithThreadPool(pool);
-        Result<TraversalResult> par_result = par_capped.Execute();
-        ASSERT_EQ(seq_capped.ok(), par_result.ok());
-        if (!seq_capped.ok()) {
-          EXPECT_EQ(seq_capped.status(), par_result.status());
-        } else {
-          EXPECT_EQ(seq_capped->traversers.size(),
-                    par_result->traversers.size());
-        }
-      }
+      Outcome par = RunParallel(graph, spec, ExecLimits::Unlimited(), *pool);
+      ASSERT_TRUE(par.hard.ok()) << par.hard;
+      EXPECT_FALSE(par.truncated);
+      EXPECT_EQ(*seq, par.paths);
     }
   }
 }
 
-// The planner entry point: forward atom chains route through the parallel
-// fold; everything else falls back — either way the governed outcome must
-// match the sequential planner byte-for-byte.
+// The planner entry point: a forward-planned atom chain is exactly the
+// §III fold, so the governed planner must match the parallel fold
+// byte-for-byte; a backward-planned chain must reach the same set whenever
+// neither run truncated (⋈◦ associativity).
 TEST_P(ParallelDifferentialTest, PlannedEvaluationMatches) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 71);
   for (int c = 0; c < 4; ++c) {
@@ -507,7 +446,7 @@ TEST_P(ParallelDifferentialTest, PlannedEvaluationMatches) {
     const uint32_t V = graph.num_vertices();
     const uint32_t L = graph.num_labels();
 
-    // Chains (the parallel route), powers, and a union (the fallback).
+    // Chains, powers, and a destination-anchored chain (the backward plan).
     PathExprPtr expr;
     switch (rng.Below(3)) {
       case 0:
@@ -521,11 +460,18 @@ TEST_P(ParallelDifferentialTest, PlannedEvaluationMatches) {
                                    2 + rng.Below(2));
         break;
       default:
-        expr = PathExpr::MakeUnion(
-            PathExpr::MakeJoin(PathExpr::Labeled(0), PathExpr::AnyEdge()),
-            PathExpr::Atom(RandomPattern(rng, V, L, false)));
+        expr = PathExpr::MakeJoin(
+            PathExpr::AnyEdge(),
+            PathExpr::Atom(EdgePattern::Into(
+                static_cast<VertexId>(rng.Below(V)))));
         break;
     }
+    std::optional<std::vector<EdgePattern>> chain =
+        ExtractAtomChain(*Simplify(expr));
+    ASSERT_TRUE(chain.has_value());
+    const ChainDirection direction = PlanChain(graph, *chain).direction;
+    TraversalSpec spec;
+    spec.steps = *chain;
 
     ExecContext probe_ctx;
     Result<GovernedPathSet> probe =
@@ -545,12 +491,12 @@ TEST_P(ParallelDifferentialTest, PlannedEvaluationMatches) {
       Outcome seq = FromResult(EvaluatePlannedGoverned(*expr, graph, seq_ctx));
       for (ThreadPool* pool : Pools()) {
         SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-        ParallelTraversalOptions options;
-        options.pool = pool;
-        options.min_shard_size = 1;
-        ExecContext par_ctx(limits);
-        ExpectIdentical(seq, FromResult(EvaluatePlannedParallelGoverned(
-                                 *expr, graph, par_ctx, options)));
+        Outcome par = RunParallel(graph, spec, limits, *pool);
+        if (direction == ChainDirection::kForward) {
+          ExpectIdentical(seq, par);
+        } else if (!seq.truncated && !par.truncated) {
+          EXPECT_EQ(seq.paths, par.paths);
+        }
       }
     }
   }

@@ -7,10 +7,9 @@
 //   * Governed recognition under an armed ExecContext: wherever the budget
 //     allows a verdict at all, it must agree with the ungoverned one, and a
 //     trip must surface the guard's status, never a wrong verdict.
-//   * AcceptedSubsetGoverned parallel-vs-sequential byte-identity (the
-//     batch-filter instance of the speculate/replay scheme), including
-//     truncation points, counters, and injected faults, at pool widths
-//     {1, 2, 8}.
+//   * AcceptedSubsetGoverned vs the per-path governed Recognize loop it
+//     batches: byte-identical accepted set, truncation point, limit status,
+//     and counters, under step budgets and injected faults.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +30,6 @@
 #include "util/fault_injector.h"
 #include "util/random.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace mrpa {
 namespace {
@@ -113,10 +111,9 @@ struct BatchOutcome {
 };
 
 BatchOutcome RunBatch(const NfaRecognizer& nfa, const PathSet& candidates,
-                      const ExecLimits& limits, ThreadPool* pool) {
+                      const ExecLimits& limits) {
   ExecContext ctx(limits);
-  Result<GovernedPathSet> result =
-      nfa.AcceptedSubsetGoverned(candidates, ctx, pool);
+  Result<GovernedPathSet> result = nfa.AcceptedSubsetGoverned(candidates, ctx);
   BatchOutcome out;
   EXPECT_TRUE(result.ok());
   if (!result.ok()) return out;
@@ -124,6 +121,28 @@ BatchOutcome RunBatch(const NfaRecognizer& nfa, const PathSet& candidates,
   out.truncated = result->truncated;
   out.limit = result->limit;
   out.stats = result->stats;
+  return out;
+}
+
+// The batch contract spelled out one path at a time: governed Recognize on
+// each candidate in canonical order against one context, stopping at the
+// first trip.
+BatchOutcome RunPerPath(const NfaRecognizer& nfa, const PathSet& candidates,
+                        const ExecLimits& limits) {
+  ExecContext ctx(limits);
+  BatchOutcome out;
+  std::vector<Path> kept;
+  for (const Path& p : candidates) {
+    Result<bool> verdict = nfa.Recognize(p, ctx);
+    if (!verdict.ok()) {
+      out.truncated = true;
+      out.limit = verdict.status();
+      break;
+    }
+    if (*verdict) kept.push_back(p);
+  }
+  out.paths = PathSet::FromSortedUnique(std::move(kept));
+  out.stats = ctx.Snapshot();
   return out;
 }
 
@@ -138,16 +157,7 @@ void ExpectBatchIdentical(const BatchOutcome& seq, const BatchOutcome& par) {
   EXPECT_EQ(seq.stats.truncated, par.stats.truncated);
 }
 
-class RecognizerDifferentialTest : public ::testing::TestWithParam<uint64_t> {
- protected:
-  RecognizerDifferentialTest() : pool1_(1), pool2_(2), pool8_(8) {}
-
-  std::vector<ThreadPool*> Pools() { return {&pool1_, &pool2_, &pool8_}; }
-
-  ThreadPool pool1_;
-  ThreadPool pool2_;
-  ThreadPool pool8_;
-};
+class RecognizerDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 // NFA simulation vs Brzozowski derivation: same verdict on every joint
 // candidate, for every random product-free expression.
@@ -204,29 +214,10 @@ TEST_P(RecognizerDifferentialTest, GovernedVerdictsAgreeOrTrip) {
   }
 }
 
-// The ungoverned batch filter is pool-invariant.
-TEST_P(RecognizerDifferentialTest, AcceptedSubsetPoolInvariant) {
-  Rng rng(GetParam() * 0xda942042e4dd58b5ULL + 13);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = SmallRandomGraph(rng, GetParam() * 97 + c + 1);
-    PathSet candidates = CandidatePaths(graph);
-    PathExprPtr expr = RandomProductFreeExpr(rng, graph.num_vertices(),
-                                             graph.num_labels(), 3);
-    Result<NfaRecognizer> nfa = NfaRecognizer::Compile(*expr);
-    ASSERT_TRUE(nfa.ok());
-
-    PathSet sequential = nfa->AcceptedSubset(candidates);
-    for (ThreadPool* pool : Pools()) {
-      EXPECT_EQ(sequential, nfa->AcceptedSubset(candidates, pool));
-    }
-  }
-}
-
-// The governed batch filter: parallel speculation + replay must be
-// byte-identical to the sequential scan — accepted set, truncation point,
-// limit status, counters — for unlimited runs, random step budgets, and
-// injected faults alike.
+// The governed batch filter must be byte-identical to the per-path loop —
+// accepted set, truncation point, limit status, counters — for unlimited
+// runs, random step budgets, and injected faults alike; unlimited, it is
+// the ungoverned AcceptedSubset.
 TEST_P(RecognizerDifferentialTest, AcceptedSubsetGovernedByteIdentity) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 21);
   for (int c = 0; c < 4; ++c) {
@@ -241,9 +232,9 @@ TEST_P(RecognizerDifferentialTest, AcceptedSubsetGovernedByteIdentity) {
 
     // Probe for the full scan cost; budgets are drawn inside it so trips
     // land at interior candidates.
-    BatchOutcome probe =
-        RunBatch(*nfa, candidates, ExecLimits::Unlimited(), nullptr);
+    BatchOutcome probe = RunBatch(*nfa, candidates, ExecLimits::Unlimited());
     ASSERT_FALSE(probe.truncated);
+    EXPECT_EQ(probe.paths, nfa->AcceptedSubset(candidates));
     const size_t steps = probe.stats.steps_expanded;
 
     std::vector<ExecLimits> regimes;
@@ -255,27 +246,22 @@ TEST_P(RecognizerDifferentialTest, AcceptedSubsetGovernedByteIdentity) {
     }
     for (size_t r = 0; r < regimes.size(); ++r) {
       SCOPED_TRACE("regime " + std::to_string(r));
-      BatchOutcome seq = RunBatch(*nfa, candidates, regimes[r], nullptr);
-      for (ThreadPool* pool : Pools()) {
-        SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-        ExpectBatchIdentical(seq, RunBatch(*nfa, candidates, regimes[r], pool));
-      }
+      ExpectBatchIdentical(RunPerPath(*nfa, candidates, regimes[r]),
+                           RunBatch(*nfa, candidates, regimes[r]));
     }
 
     if (steps > 0) {
       const uint64_t nth = rng.Between(1, steps);
       const Status injected = Status::DeadlineExceeded("injected nfa fault");
-      BatchOutcome seq;
+      BatchOutcome per_path;
       {
         ScopedFault fault(kFaultSiteBudgetCheck, nth, injected);
-        seq = RunBatch(*nfa, candidates, ExecLimits::Unlimited(), nullptr);
+        per_path = RunPerPath(*nfa, candidates, ExecLimits::Unlimited());
       }
-      for (ThreadPool* pool : Pools()) {
-        SCOPED_TRACE("fault, threads " + std::to_string(pool->num_threads()));
-        ScopedFault fault(kFaultSiteBudgetCheck, nth, injected);
-        ExpectBatchIdentical(
-            seq, RunBatch(*nfa, candidates, ExecLimits::Unlimited(), pool));
-      }
+      SCOPED_TRACE("fault");
+      ScopedFault fault(kFaultSiteBudgetCheck, nth, injected);
+      ExpectBatchIdentical(
+          per_path, RunBatch(*nfa, candidates, ExecLimits::Unlimited()));
     }
   }
 }

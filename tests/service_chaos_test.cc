@@ -11,8 +11,11 @@
 // The invariant under all of it — THE differential contract of this PR:
 // every response the service returns with a deterministic outcome (limit
 // Status OK or kResourceExhausted) is byte-identical to a direct governed
-// run of the same workload, with the same effective limits, against a
-// reference copy of the image version the query was admitted under.
+// run of the same workload, in the direction the service evaluates it
+// (planned for kTraversal, pinned for the chain kinds), with the same
+// effective limits, against a reference copy of the image version the
+// query was admitted under; every untruncated one also equals the forward
+// §III fold.
 // Deadline and cancellation outcomes are wall-clock dependent and are
 // checked for shape only; sheds must come back as the well-formed
 // truncated-empty kResourceExhausted degradation. Injected kIOError faults
@@ -136,7 +139,8 @@ class VersionLedger {
 };
 
 // Mirrors QueryService::ExecuteOnce's dispatch, sequentially, fault-free:
-// the oracle the served output must match byte-for-byte. The oracle runs
+// the oracle the served output must match byte-for-byte. kTraversal runs in
+// the direction PlanChain picks; the chain kinds pin it. The oracle runs
 // under a ShardContext (fault probes disabled) so the controller's armed
 // exec.budget_check faults cannot leak into the reference run.
 GovernedPathSet Oracle(const SnapshotUniverse& universe,
@@ -144,25 +148,34 @@ GovernedPathSet Oracle(const SnapshotUniverse& universe,
                        const ExecLimits& effective) {
   ExecContext quiet;
   ExecContext ctx = ExecContext::ShardContext(quiet, effective);
-  Result<GovernedPathSet> run = Status::Internal("unreachable");
+  ChainDirection direction = ChainDirection::kForward;
   switch (request.kind) {
-    case QueryKind::kTraversal: {
-      TraversalSpec spec;
-      spec.steps = request.steps;
-      run = TraverseGoverned(universe, spec, ctx);
+    case QueryKind::kTraversal:
+      direction = PlanChain(universe, request.steps).direction;
       break;
-    }
     case QueryKind::kChainForward:
-      run = EvaluateChainGoverned(universe, request.steps,
-                                  ChainDirection::kForward, ctx);
       break;
     case QueryKind::kChainBackward:
-      run = EvaluateChainGoverned(universe, request.steps,
-                                  ChainDirection::kBackward, ctx);
+      direction = ChainDirection::kBackward;
       break;
   }
+  Result<GovernedPathSet> run =
+      EvaluateChainGoverned(universe, request.steps, direction, ctx);
   EXPECT_TRUE(run.ok()) << run.status();
   return run.ok() ? std::move(*run) : GovernedPathSet{};
+}
+
+// The forward §III fold, unbudgeted and fault-free: every untruncated
+// answer, whatever direction produced it, must be exactly this set.
+PathSet ForwardFold(const SnapshotUniverse& universe,
+                    const std::vector<EdgePattern>& steps) {
+  ExecContext quiet;
+  ExecContext ctx = ExecContext::ShardContext(quiet, ExecLimits::Unlimited());
+  TraversalSpec spec;
+  spec.steps = steps;
+  Result<GovernedPathSet> run = TraverseGoverned(universe, spec, ctx);
+  EXPECT_TRUE(run.ok()) << run.status();
+  return run.ok() ? std::move(run->paths) : PathSet{};
 }
 
 struct SoakCounters {
@@ -310,6 +323,10 @@ TEST(ServiceChaosTest, SoakHoldsTheDifferentialInvariant) {
         ASSERT_EQ(got.truncated, want.truncated);
         ASSERT_EQ(got.limit, want.limit)
             << "got " << got.limit << " want " << want.limit;
+        if (!got.truncated) {
+          ASSERT_EQ(got.paths,
+                    ForwardFold(references[content], request.steps));
+        }
         counters.checked.fetch_add(1, std::memory_order_relaxed);
         if (got.truncated) {
           counters.truncated.fetch_add(1, std::memory_order_relaxed);
@@ -541,6 +558,9 @@ TEST(ServiceChaosTest, LiveCompactionSoakHoldsTheDifferentialInvariant) {
         ASSERT_EQ(got.truncated, want.truncated);
         ASSERT_EQ(got.limit, want.limit)
             << "got " << got.limit << " want " << want.limit;
+        if (!got.truncated) {
+          ASSERT_EQ(got.paths, ForwardFold(reference, request.steps));
+        }
         counters.checked.fetch_add(1, std::memory_order_relaxed);
         if (got.truncated) {
           counters.truncated.fetch_add(1, std::memory_order_relaxed);

@@ -2,16 +2,17 @@
 // cancellation, budget trips all come back OK + truncated), quota ceilings
 // clamping request limits, retry of injected transient execution faults,
 // snapshot-version pinning across hot swaps, and the differential identity
-// — a served query's output is byte-identical to a direct governed run
-// with the same effective limits against the same image version.
+// — a served query's output is byte-identical to a direct governed run in
+// the planned direction with the same effective limits against the same
+// image version.
 
 #include <chrono>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/edge_pattern.h"
 #include "core/path_set.h"
-#include "core/traversal.h"
 #include "engine/chain_planner.h"
 #include "generators/generators.h"
 #include "graph/multi_graph.h"
@@ -74,14 +75,21 @@ class QueryServiceTest : public ::testing::Test {
 
   void Publish() { ASSERT_TRUE(registry_.HotSwap(Load(graph_)).ok()); }
 
+  // A direct governed run in `direction` against the oracle copy.
   GovernedPathSet DirectRun(const std::vector<EdgePattern>& steps,
-                            const ExecLimits& limits) {
+                            const ExecLimits& limits,
+                            ChainDirection direction) {
     ExecContext ctx(limits);
-    TraversalSpec spec;
-    spec.steps = steps;
-    auto run = TraverseGoverned(oracle_, spec, ctx);
+    auto run = EvaluateChainGoverned(oracle_, steps, direction, ctx);
     EXPECT_TRUE(run.ok()) << run.status();
     return std::move(*run);
+  }
+
+  // The run the service makes for a kTraversal request: one
+  // EvaluateChainGoverned in the direction PlanChain picks.
+  GovernedPathSet DirectRun(const std::vector<EdgePattern>& steps,
+                            const ExecLimits& limits) {
+    return DirectRun(steps, limits, PlanChain(oracle_, steps).direction);
   }
 
   obs::ObsRegistry obs_;
@@ -153,6 +161,8 @@ TEST_F(QueryServiceTest, QuotaCeilingsClampRequestLimits) {
   EXPECT_EQ(response->result.limit, direct.limit);
 }
 
+// A pool only sizes the service's default in-flight cap; evaluation stays
+// sequential and identical to the direct governed run.
 TEST_F(QueryServiceTest, ParallelEvaluationMatchesSequentialOracle) {
   ThreadPool pool(4);
   QueryService::Options options = MakeOptions();
@@ -197,6 +207,79 @@ TEST_F(QueryServiceTest, ChainKindsAgreeWithTheTraversalFold) {
   // ⋈◦ associativity: both chain directions denote the same set.
   EXPECT_EQ(forward->result.paths, traversal->result.paths);
   EXPECT_EQ(backward->result.paths, traversal->result.paths);
+
+  // The service plans: the destination-anchored chain is served from the
+  // selective end, doing exactly the backward fold's work and less than
+  // the forward fold's, while answering the forward set.
+  const GovernedPathSet want_forward = DirectRun(
+      request.steps, ExecLimits::Unlimited(), ChainDirection::kForward);
+  const GovernedPathSet want_backward = DirectRun(
+      request.steps, ExecLimits::Unlimited(), ChainDirection::kBackward);
+  ASSERT_FALSE(want_forward.paths.empty());
+  EXPECT_EQ(traversal->result.stats.steps_expanded,
+            want_backward.stats.steps_expanded);
+  EXPECT_LT(traversal->result.stats.steps_expanded,
+            want_forward.stats.steps_expanded);
+  EXPECT_EQ(traversal->result.paths, want_forward.paths);
+  // Only the planned kind records a planner decision.
+  EXPECT_EQ(obs_.Value(obs::Metric::kPlannerPlansBackward), 1u);
+  EXPECT_EQ(obs_.Value(obs::Metric::kPlannerPlansForward), 0u);
+}
+
+// Under truncating budgets the planned answer is exactly the governed run
+// in the planned direction: paths, truncation, limit Status, and stats
+// (elapsed aside) — for a backward-planned and a forward-planned chain.
+TEST_F(QueryServiceTest, TruncatedTraversalMatchesThePlannedGovernedRun) {
+  Publish();
+  ASSERT_TRUE(service_.RegisterTenant("t", TenantQuota{}).ok());
+
+  struct Case {
+    std::vector<EdgePattern> steps;
+    ChainDirection planned;
+  };
+  const Case cases[] = {
+      {{EdgePattern::Any(), EdgePattern::Into(3)}, ChainDirection::kBackward},
+      {{EdgePattern::From(2), EdgePattern::Any()}, ChainDirection::kForward},
+  };
+  uint64_t backward_plans = 0, forward_plans = 0;
+  for (const Case& c : cases) {
+    ASSERT_EQ(PlanChain(oracle_, c.steps).direction, c.planned);
+    const GovernedPathSet full =
+        DirectRun(c.steps, ExecLimits::Unlimited(), c.planned);
+    ASSERT_GT(full.paths.size(), 1u);
+
+    ExecLimits by_steps, by_paths, by_bytes;
+    by_steps.max_steps = full.stats.steps_expanded / 2;
+    by_paths.max_paths = full.paths.size() / 2;
+    by_bytes.max_bytes = full.stats.bytes_charged / 2;
+    for (const ExecLimits& limits : {by_steps, by_paths, by_bytes}) {
+      QueryRequest request;
+      request.steps = c.steps;
+      request.limits = limits;
+      auto response = service_.Execute("t", request);
+      ASSERT_TRUE(response.ok()) << response.status();
+      if (c.planned == ChainDirection::kBackward) {
+        ++backward_plans;
+      } else {
+        ++forward_plans;
+      }
+
+      const GovernedPathSet want = DirectRun(
+          c.steps, service_.EffectiveLimits("t", request).value(), c.planned);
+      const GovernedPathSet& got = response->result;
+      ASSERT_TRUE(want.truncated);
+      EXPECT_EQ(got.paths, want.paths);
+      EXPECT_EQ(got.truncated, want.truncated);
+      EXPECT_EQ(got.limit, want.limit)
+          << "got " << got.limit << " want " << want.limit;
+      EXPECT_EQ(got.stats.paths_yielded, want.stats.paths_yielded);
+      EXPECT_EQ(got.stats.steps_expanded, want.stats.steps_expanded);
+      EXPECT_EQ(got.stats.bytes_charged, want.stats.bytes_charged);
+      EXPECT_EQ(got.stats.truncated, want.stats.truncated);
+    }
+  }
+  EXPECT_EQ(obs_.Value(obs::Metric::kPlannerPlansBackward), backward_plans);
+  EXPECT_EQ(obs_.Value(obs::Metric::kPlannerPlansForward), forward_plans);
 }
 
 TEST_F(QueryServiceTest, TransientExecuteFaultIsRetriedToSuccess) {
