@@ -24,8 +24,13 @@
 // while the admission=0 row shows the queueing collapse the controller
 // exists to prevent.
 //
+// BM_AnswerMode (E26) times one server-side request — QueryService::Execute
+// plus the wire projection and response encode — of the whole-label chain
+// [_,knows,_]·[_,created,_] on social graphs of 12.5k/50k/200k people, in
+// each answer mode: how paths, count and exists scale with the answer size.
+//
 // Run: build/bench/bench_service --benchmark_min_time=0.5 [--json=FILE]
-// Results are recorded in EXPERIMENTS.md (E20).
+// Results are recorded in EXPERIMENTS.md (E20, E26).
 
 #include <algorithm>
 #include <atomic>
@@ -35,13 +40,16 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "core/edge_pattern.h"
+#include "generators/generators.h"
 #include "graph/multi_graph.h"
+#include "net/wire.h"
 #include "service/admission.h"
 #include "service/query_service.h"
 #include "service/snapshot_registry.h"
@@ -252,6 +260,72 @@ BENCHMARK(BM_ServiceOpenLoop)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
+
+// Arg: people. The social graph has people/4 items, three knows edges per
+// person and 4·people likes, as in servebench's graphs.
+void BM_AnswerMode(benchmark::State& state, AnswerMode mode) {
+  SocialNetworkParams params;
+  params.num_people = static_cast<uint32_t>(state.range(0));
+  params.num_items = params.num_people / 4;
+  params.knows_per_person = 3;
+  params.num_likes = size_t{4} * params.num_people;
+  params.seed = 1;
+  SnapshotRegistry registry;
+  if (!registry.HotSwap(LoadSnapshot(GenerateSocialNetwork(params).value()))
+           .ok()) {
+    state.SkipWithError("snapshot publish failed");
+    return;
+  }
+  QueryService::Options options;
+  options.obs = bench::TraceRegistry();
+  QueryService service(registry, options);
+  if (!service.RegisterTenant("bench", TenantQuota{}).ok()) {
+    state.SkipWithError("tenant registration failed");
+    return;
+  }
+  QueryRequest request;
+  request.mode = mode;
+  request.steps = {EdgePattern::Labeled(kSocialKnows),
+                   EdgePattern::Labeled(kSocialCreated)};
+
+  uint64_t answer = 0;
+  size_t frame_bytes = 0;
+  for (auto _ : state) {
+    auto response = service.Execute("bench", request);
+    if (!response.ok() || response->result.truncated) {
+      state.SkipWithError("whole-label query failed");
+      return;
+    }
+    answer = response->result.AnswerCount();
+    auto frame = net::EncodeResponseFrame(
+        net::MakeWireResponse(std::move(*response), mode));
+    if (!frame.ok()) {
+      state.SkipWithError("response encode failed");
+      return;
+    }
+    frame_bytes = frame->size();
+    benchmark::DoNotOptimize(frame->data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["answer"] = static_cast<double>(answer);
+  state.counters["frame_bytes"] = static_cast<double>(frame_bytes);
+}
+
+// Registered as BM_AnswerMode/{paths,count,exists}/<people>.
+const bool kAnswerModeRegistered = [] {
+  for (const auto& [name, mode] :
+       {std::pair{"paths", AnswerMode::kPaths},
+        std::pair{"count", AnswerMode::kCount},
+        std::pair{"exists", AnswerMode::kExists}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_AnswerMode/") + name).c_str(), BM_AnswerMode, mode)
+        ->Arg(12500)
+        ->Arg(50000)
+        ->Arg(200000)
+        ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
 
 }  // namespace
 }  // namespace mrpa

@@ -54,6 +54,7 @@
 #include "core/edge.h"
 #include "core/ids.h"
 #include "core/path.h"
+#include "core/path_set.h"
 
 namespace mrpa::obs {
 class ObsRegistry;
@@ -209,6 +210,22 @@ class PathArena {
 // accounting.
 void FlushArenaStats(const PathArena& arena, obs::ObsRegistry* registry,
                      size_t shard = 0);
+
+// What one level of an arena fold does with the paths it emits, given the
+// answer mode (DESIGN.md "Answer modes"). Every level but the last stages
+// arena nodes for the next. The last stages them only in kPaths: kCount's
+// last level just counts, and kExists's ends at its first path. A level
+// that ends at its first path also runs sparse, whatever the density
+// policy: a dense cache is built for the whole level, and such a level
+// would never pay it back. Density is pure strategy, so this changes no
+// governed output.
+struct LevelSink {
+  LevelSink(AnswerMode mode, bool final_level)
+      : stage(!final_level || mode == AnswerMode::kPaths),
+        stop_at_first(final_level && mode == AnswerMode::kExists) {}
+  bool stage;
+  bool stop_at_first;
+};
 
 // A zero-copy view of one arena path: the streaming alternative to
 // materialization at the API boundary. The arena must outlive the view and

@@ -16,6 +16,7 @@
 #define MRPA_CORE_PATH_SET_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -129,12 +130,23 @@ class PathSet {
 // Estimated heap footprint of a whole set, summed over its paths.
 size_t ApproxBytes(const PathSet& set);
 
+// How a governed fold delivers its answer (DESIGN.md "Answer modes"). The
+// fold consults it only where it emits full-length paths: kPaths stages and
+// materializes them; kCount counts them without allocating, sorting or
+// materializing; kExists stops at the first one.
+enum class AnswerMode : uint8_t {
+  kPaths = 0,
+  kCount = 1,
+  kExists = 2,
+};
+
 // A PathSet plus the truncation contract of DESIGN.md's "Execution
 // governance" section: when an ExecContext limit trips mid-evaluation, the
 // evaluator returns what it computed with `truncated = true`, the tripping
 // Status in `limit`, and the governance counters in `stats` — callers can
 // use the partial answer, retry with a larger budget, or surface `limit`.
 struct GovernedPathSet {
+  // The answer in kPaths mode; empty in the summary modes.
   PathSet paths;
   // True iff a limit stopped evaluation early; `paths` is then a subset of
   // the full answer.
@@ -143,6 +155,15 @@ struct GovernedPathSet {
   // (or an injected fault) when truncated.
   Status limit;
   ExecStats stats;
+  // The mode the fold ran in and, in the summary modes, the answer: kCount
+  // the number of full-length paths, kExists 1 iff one was reached.
+  AnswerMode mode = AnswerMode::kPaths;
+  uint64_t count = 0;
+
+  // The answer's size in any mode.
+  uint64_t AnswerCount() const {
+    return mode == AnswerMode::kPaths ? paths.size() : count;
+  }
 };
 
 // ∪: set union of two path sets (linear merge).

@@ -47,12 +47,17 @@ namespace {
 // the same guard lambda, so every guard call (count, order, arguments) is
 // preserved, and the differential suite proves byte-identity across
 // forced-sparse / forced-dense / auto on every dispatch tier.
+// The answer mode only changes the final level's sink (DESIGN.md "Answer
+// modes"): kPaths stages arena nodes and materializes them, kCount only
+// counts, kExists stops at the first full-length path. The guard calls up
+// to that point are the same in every mode.
 Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
                                  const std::vector<EdgePattern>& steps,
                                  const PathSetLimits& limits,
                                  const frontier::DensityPolicy& base_policy,
-                                 ExecContext& ctx) {
+                                 ExecContext& ctx, AnswerMode mode) {
   GovernedPathSet out;
+  out.mode = mode;
   // Observability is boundary-only: snapshot the guard on entry, flush the
   // deltas (and the run's breakdown) once on every graceful exit. With no
   // registry attached, the fold below runs its PR 3 hot loops unchanged.
@@ -65,12 +70,14 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
     if (Status trip = ctx.ChargePaths(); !trip.ok()) {
       out.truncated = true;
       out.limit = std::move(trip);
-    } else {
+    } else if (mode == AnswerMode::kPaths) {
       out.paths = PathSet::EpsilonSet();
+    } else {
+      out.count = 1;
     }
     if (reg != nullptr) {
       reg->Add(obs::Metric::kTraversalRuns, 1);
-      reg->Add(obs::Metric::kTraversalPathsEmitted, out.paths.size());
+      reg->Add(obs::Metric::kTraversalPathsEmitted, out.AnswerCount());
       AddExecStatsDelta(*reg, obs_before, ctx.Snapshot());
     }
     out.stats = ctx.Snapshot();
@@ -103,6 +110,8 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
   ExecSpan run_span(ctx, "traverse");
   size_t seed_edges = 0;
   size_t levels_run = 0;
+  // Full-length paths the final level emitted: the summary modes' answer.
+  size_t final_paths = 0;
   // The one-per-run flush. Every graceful return passes through here; the
   // hard max_paths overflow (a legacy error, not a governed result) does
   // not — it reports nothing, matching its no-partial-result contract.
@@ -111,7 +120,7 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
     reg->Add(obs::Metric::kTraversalRuns, 1);
     reg->Add(obs::Metric::kTraversalSeedEdges, seed_edges);
     reg->Add(obs::Metric::kTraversalLevels, levels_run);
-    reg->Add(obs::Metric::kTraversalPathsEmitted, out.paths.size());
+    reg->Add(obs::Metric::kTraversalPathsEmitted, out.AnswerCount());
     reg->Add(obs::Metric::kFrontierDenseLevels, dense_levels);
     reg->Add(obs::Metric::kFrontierSparseLevels, sparse_levels);
     reg->Add(obs::Metric::kFrontierWordsScanned, frontier_words);
@@ -135,10 +144,19 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
     }
     return PathSet::FromSortedUnique(std::move(paths));
   };
+  // The final level's answer: the staged nodes, or the summary count.
+  auto answer = [&](const std::vector<PathNodeId>& ids, size_t length) {
+    if (mode == AnswerMode::kPaths) {
+      out.paths = materialize(ids, length);
+    } else {
+      out.count = final_paths;
+    }
+  };
 
   // Seed level: lift the matching edges into length-1 chains.
   {
     ExecSpan seed_span(ctx, "traverse.level", /*level=*/0);
+    const LevelSink sink(mode, last_level == 0);
     for (const Edge& e : CollectMatchingEdges(universe, steps.front())) {
       if (!ctx.CheckStep().ok() ||
           (last_level == 0 && !ctx.ChargePaths().ok()) ||
@@ -146,14 +164,16 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
         trip = ctx.limit_status();
         break;
       }
-      frontier.push_back(arena.AddRoot(e));
+      ++seed_edges;
+      if (sink.stage) frontier.push_back(arena.AddRoot(e));
+      if (sink.stop_at_first) break;
     }
+    if (last_level == 0) final_paths = seed_edges;
   }
-  seed_edges = frontier.size();
   if (!trip.ok()) {
     out.truncated = true;
     out.limit = std::move(trip);
-    if (last_level == 0) out.paths = materialize(frontier, 1);
+    if (last_level == 0) answer(frontier, 1);
     flush_obs();
     out.stats = ctx.Snapshot();
     return out;
@@ -167,13 +187,16 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
     ExecSpan level_span(ctx, "traverse.level", static_cast<int64_t>(k));
     const EdgePattern& step = steps[k];
     const bool final_level = k == last_level;
+    const LevelSink sink(mode, final_level);
 
     // Pick this level's execution strategy. The decision probe (head
     // bitmap + popcount) only runs once the frontier is wide enough for
     // dense to be in play, so narrow levels pay nothing beyond the two
-    // branch tests.
+    // branch tests. A level that stops at its first path stays sparse
+    // (LevelSink).
     std::optional<ForwardLevelCache> cache;
-    if (policy.mode != frontier::DensityMode::kForceSparse) {
+    if (!sink.stop_at_first &&
+        policy.mode != frontier::DensityMode::kForceSparse) {
       const bool benefits = StepBenefitsFromDense(step);
       if (policy.mode == frontier::DensityMode::kForceDense ||
           (benefits && frontier.size() >= policy.min_frontier_paths)) {
@@ -205,6 +228,7 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
 
     Status overflow;
     next.clear();
+    size_t emitted = 0;  // This level's paths, staged or only counted.
     for (PathNodeId source : frontier) {
       // Extend the chain with matching out-edges of its head — an
       // index-backed equijoin on γ+(p) = γ−(e), narrowed to the label
@@ -215,7 +239,8 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
       size_t expanded = 0;
       auto extend = [&](const Edge& e) {
         if (!overflow.ok() || !trip.ok()) return;
-        if (next.size() >= hard_limit) {
+        if (sink.stop_at_first && emitted > 0) return;
+        if (emitted >= hard_limit) {
           overflow = Status::ResourceExhausted(
               "traversal exceeded max_paths = " + std::to_string(hard_limit));
           return;
@@ -225,7 +250,8 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
           return;
         }
         ++expanded;
-        next.push_back(arena.Extend(source, e));
+        ++emitted;
+        if (sink.stage) next.push_back(arena.Extend(source, e));
       };
       if (cache.has_value()) {
         // Dense: the memoized run IS the sequence ForEachMatchingOutEdge
@@ -238,6 +264,7 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
         ForEachMatchingOutEdge(universe, arena.HeadOf(source), step, extend);
       }
       if (!overflow.ok()) return overflow;
+      if (sink.stop_at_first && emitted > 0) break;
       if (trip.ok() && (!ctx.CheckStep(expanded + 1).ok() ||
                         !ctx.ChargeBytes(expanded * PathArena::kNodeBytes)
                              .ok())) {
@@ -245,17 +272,18 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
       }
       if (!trip.ok()) break;
     }
+    if (final_level) final_paths = emitted;
     if (!trip.ok()) {
       out.truncated = true;
       out.limit = std::move(trip);
-      if (final_level) out.paths = materialize(next, k + 1);
+      if (final_level) answer(next, k + 1);
       flush_obs();
       out.stats = ctx.Snapshot();
       return out;
     }
     frontier.swap(next);
   }
-  out.paths = materialize(frontier, steps.size());
+  answer(frontier, steps.size());
   flush_obs();
   out.stats = ctx.Snapshot();
   return out;
@@ -360,7 +388,7 @@ Result<PathSet> FoldJoinStrict(const EdgeUniverse& universe,
                                const frontier::DensityPolicy& policy = {}) {
   ExecContext unlimited;
   Result<GovernedPathSet> result =
-      FoldJoin(universe, steps, limits, policy, unlimited);
+      FoldJoin(universe, steps, limits, policy, unlimited, AnswerMode::kPaths);
   if (!result.ok()) return result.status();
   if (result->truncated) return result->limit;
   return std::move(result->paths);
@@ -433,8 +461,8 @@ Result<PathSet> Traverse(const EdgeUniverse& universe,
 
 Result<GovernedPathSet> TraverseGoverned(const EdgeUniverse& universe,
                                          const TraversalSpec& spec,
-                                         ExecContext& ctx) {
-  return FoldJoin(universe, spec.steps, spec.limits, spec.density, ctx);
+                                         ExecContext& ctx, AnswerMode mode) {
+  return FoldJoin(universe, spec.steps, spec.limits, spec.density, ctx, mode);
 }
 
 Result<GovernedPathSet> TraverseGovernedMaterialized(

@@ -82,9 +82,18 @@ Result<PathSet> Traverse(const EdgeUniverse& universe,
 // A trip at an intermediate join level yields an empty (but still truncated)
 // set — only full-length paths are ever reported. spec.limits.max_paths
 // keeps its hard-error semantics (non-OK Result), as in Traverse().
+//
+// `mode` picks the final level's sink (DESIGN.md "Answer modes"). kCount
+// makes every guard call kPaths makes, in the same order — bytes of the
+// final-level nodes it never allocates included — so (count, truncated,
+// limit, stats) equal enumerate-then-reduce. kExists makes the same calls
+// up to the first full-length path and stops there: count 1, untruncated,
+// limit OK; with no path before a trip it reports enumeration's truncated
+// and limit with count 0.
 Result<GovernedPathSet> TraverseGoverned(const EdgeUniverse& universe,
                                          const TraversalSpec& spec,
-                                         ExecContext& ctx);
+                                         ExecContext& ctx,
+                                         AnswerMode mode = AnswerMode::kPaths);
 
 // The pre-arena fold: every extension copies its full prefix into a fresh
 // Path, every level is canonicalized through PathSetBuilder. Same contract,

@@ -137,11 +137,15 @@ namespace {
 // dense replay still walks the full candidate run and merely replaces the
 // per-edge Matches call with a two-pointer scan of the memoized
 // subsequence; guard count, order, and arguments are preserved exactly.
+// The answer mode only changes the final level's sink, as in the forward
+// fold (DESIGN.md "Answer modes"): kCount pushes no final-level nodes, so
+// it sorts and materializes nothing; kExists stops at the first path.
 Result<GovernedPathSet> EvaluateBackwardGoverned(
     const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
     const PathSetLimits& limits, const frontier::DensityPolicy& base_policy,
-    ExecContext& ctx) {
+    ExecContext& ctx, AnswerMode mode) {
   GovernedPathSet out;
+  out.mode = mode;
   const size_t hard_limit =
       limits.max_paths.value_or(std::numeric_limits<size_t>::max());
   Status trip;
@@ -159,6 +163,8 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
   ExecSpan run_span(ctx, "chain.backward");
   size_t seed_edges = 0;
   size_t levels_run = 0;
+  // Full-length paths the final level emitted: the summary modes' answer.
+  size_t final_paths = 0;
 
   // Adaptive strategy state, mirroring the forward fold's.
   frontier::DensityPolicy policy = base_policy;
@@ -176,7 +182,7 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
     reg->Add(obs::Metric::kTraversalRuns, 1);
     reg->Add(obs::Metric::kTraversalSeedEdges, seed_edges);
     reg->Add(obs::Metric::kTraversalLevels, levels_run);
-    reg->Add(obs::Metric::kTraversalPathsEmitted, out.paths.size());
+    reg->Add(obs::Metric::kTraversalPathsEmitted, out.AnswerCount());
     reg->Add(obs::Metric::kFrontierDenseLevels, dense_levels);
     reg->Add(obs::Metric::kFrontierSparseLevels, sparse_levels);
     reg->Add(obs::Metric::kFrontierWordsScanned, frontier_words);
@@ -199,25 +205,36 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
     }
     return PathSet::FromSortedUnique(std::move(paths));
   };
+  // The final level's answer: the sorted staged nodes, or the summary count.
+  auto answer = [&](const std::vector<PathNodeId>& ids, size_t length) {
+    if (mode == AnswerMode::kPaths) {
+      out.paths = materialize(ids, length);
+    } else {
+      out.count = final_paths;
+    }
+  };
 
   // Seed with the LAST step's matching edges: length-1 suffixes, already in
   // canonical order (CollectMatchingEdges is sorted).
   {
     ExecSpan seed_span(ctx, "traverse.level", /*level=*/0);
+    const LevelSink sink(mode, steps.size() == 1);
     for (const Edge& e : CollectMatchingEdges(universe, steps.back())) {
       if (trip = ctx.CheckStep(); !trip.ok()) break;
       if (steps.size() == 1) {
         if (trip = ctx.ChargePaths(); !trip.ok()) break;
       }
       if (trip = ctx.ChargeBytes(PathArena::kNodeBytes); !trip.ok()) break;
-      frontier.push_back(arena.AddRoot(e));
+      ++seed_edges;
+      if (sink.stage) frontier.push_back(arena.AddRoot(e));
+      if (sink.stop_at_first) break;
     }
+    if (steps.size() == 1) final_paths = seed_edges;
   }
-  seed_edges = frontier.size();
   if (!trip.ok()) {
     out.truncated = true;
     out.limit = std::move(trip);
-    if (steps.size() == 1) out.paths = materialize(frontier, 1);
+    if (steps.size() == 1) answer(frontier, 1);
     flush_obs();
     out.stats = ctx.Snapshot();
     return out;
@@ -226,6 +243,7 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
   size_t length = 1;  // Suffix length of the current frontier.
   for (size_t k = steps.size() - 1; k-- > 0 && !frontier.empty();) {
     const bool final_level = k == 0;
+    const LevelSink sink(mode, final_level);
     ++levels_run;
     if (reg != nullptr) {
       reg->Record(obs::Hist::kTraversalLevelWidth, frontier.size());
@@ -238,8 +256,10 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
 
     // Strategy choice for this extension level, over the frontier's tail
     // vertices (the backward analogue of the forward fold's head probe).
+    // A level that stops at its first path stays sparse (LevelSink).
     std::optional<BackwardLevelCache> cache;
-    if (policy.mode != frontier::DensityMode::kForceSparse) {
+    if (!sink.stop_at_first &&
+        policy.mode != frontier::DensityMode::kForceSparse) {
       const bool benefits = StepBenefitsFromDense(steps[k]);
       if (policy.mode == frontier::DensityMode::kForceDense ||
           (benefits && frontier.size() >= policy.min_frontier_paths)) {
@@ -270,6 +290,7 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
     }
 
     next.clear();
+    size_t emitted = 0;  // This level's paths, staged or only counted.
     for (PathNodeId source : frontier) {
       // Extend at the tail: edges whose head is γ−(p), via the in-index.
       // CheckStep fires once per CANDIDATE in-edge, before the match test —
@@ -290,7 +311,7 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
         } else if (!steps[k].Matches(universe.EdgeAt(idx))) {
           continue;
         }
-        if (next.size() >= hard_limit) {
+        if (emitted >= hard_limit) {
           return Status::ResourceExhausted(
               "chain evaluation exceeded max_paths = " +
               std::to_string(hard_limit));
@@ -299,17 +320,22 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
           if (trip = ctx.ChargePaths(); !trip.ok()) break;
         }
         if (trip = ctx.ChargeBytes(PathArena::kNodeBytes); !trip.ok()) break;
-        next.push_back(arena.Extend(source, universe.EdgeAt(idx)));
+        ++emitted;
+        if (sink.stage) {
+          next.push_back(arena.Extend(source, universe.EdgeAt(idx)));
+        }
+        if (sink.stop_at_first) break;
       }
-      if (!trip.ok()) break;
+      if (!trip.ok() || (sink.stop_at_first && emitted > 0)) break;
     }
     ++length;
+    if (final_level) final_paths = emitted;
     if (!trip.ok()) {
       out.truncated = true;
       out.limit = std::move(trip);
       if (final_level) {
         sort_level(next);
-        out.paths = materialize(next, length);
+        answer(next, length);
       }
       flush_obs();
       out.stats = ctx.Snapshot();
@@ -318,7 +344,7 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
     sort_level(next);
     frontier.swap(next);
   }
-  out.paths = materialize(frontier, length);
+  answer(frontier, length);
   flush_obs();
   out.stats = ctx.Snapshot();
   return out;
@@ -329,23 +355,14 @@ Result<GovernedPathSet> EvaluateBackwardGoverned(
 Result<GovernedPathSet> EvaluateChainGoverned(
     const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
     ChainDirection direction, ExecContext& ctx, const PathSetLimits& limits,
-    const frontier::DensityPolicy& density) {
-  if (steps.empty()) {
-    GovernedPathSet out;
-    if (Status trip = ctx.ChargePaths(); !trip.ok()) {
-      out.truncated = true;
-      out.limit = std::move(trip);
-    } else {
-      out.paths = PathSet::EpsilonSet();
-    }
-    out.stats = ctx.Snapshot();
-    return out;
-  }
-  if (direction == ChainDirection::kForward) {
+    const frontier::DensityPolicy& density, AnswerMode mode) {
+  // The empty chain denotes {ε} in either direction; the forward fold
+  // handles it.
+  if (direction == ChainDirection::kForward || steps.empty()) {
     return TraverseGoverned(universe, TraversalSpec{steps, limits, density},
-                            ctx);
+                            ctx, mode);
   }
-  return EvaluateBackwardGoverned(universe, steps, limits, density, ctx);
+  return EvaluateBackwardGoverned(universe, steps, limits, density, ctx, mode);
 }
 
 Result<PathSet> EvaluateChain(const EdgeUniverse& universe,

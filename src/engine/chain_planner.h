@@ -95,12 +95,14 @@ Result<PathSet> EvaluateChain(const EdgeUniverse& universe,
 // `density` is the sparse/dense execution switch (DESIGN.md "Dense-frontier
 // execution") — pure strategy, applied by both directions (the backward
 // evaluator has its own dense replay over the in-index), with byte-identical
-// governed output in every mode.
+// governed output under every density mode. `mode` is the answer mode:
+// TraverseGoverned's count and exists contracts hold in either direction.
 Result<GovernedPathSet> EvaluateChainGoverned(
     const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
     ChainDirection direction, ExecContext& ctx,
     const PathSetLimits& limits = {},
-    const frontier::DensityPolicy& density = {});
+    const frontier::DensityPolicy& density = {},
+    AnswerMode mode = AnswerMode::kPaths);
 
 // One-call form: extract, plan, evaluate; falls back to PathExpr::Evaluate
 // for non-chain expressions.

@@ -151,6 +151,7 @@ void QueryServer::DispatchWorker() {
 
     service::QueryRequest request;
     request.kind = item.request.kind;
+    request.mode = item.request.mode;
     request.steps = std::move(item.request.steps);
     request.limits = item.request.limits;
     if (item.request.deadline_micros.has_value()) {
@@ -166,7 +167,7 @@ void QueryServer::DispatchWorker() {
 
     WireResponse response;
     if (executed.ok()) {
-      response = MakeWireResponse(*executed, item.request.mode);
+      response = MakeWireResponse(std::move(*executed), item.request.mode);
     } else {
       response.outcome = executed.status();
       response.mode = item.request.mode;

@@ -1,11 +1,13 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <limits>
 #include <utility>
 
 #include "storage/crc32c.h"
+#include "util/little_endian.h"
 
 namespace mrpa::net {
 
@@ -14,31 +16,43 @@ namespace {
 constexpr uint8_t kMagic[4] = {'M', 'R', 'P', 'W'};
 constexpr size_t kCrcOffset = 12;
 
-void PutU8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
+// Sequential little-endian writer into a frame the encoder sized exactly
+// up front (SealFrame below), so a large answer is one allocation with no
+// per-byte capacity checks.
+class Writer {
+ public:
+  explicit Writer(uint8_t* p) : p_(p) {}
 
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
+  uint8_t* pos() const { return p_; }
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+  void U8(uint8_t v) { *p_++ = v; }
+  void U16(uint16_t v) {
+    PutU16(p_, v);
+    p_ += 2;
+  }
+  void U32(uint32_t v) {
+    PutU32(p_, v);
+    p_ += 4;
+  }
+  void U64(uint64_t v) {
+    PutU64(p_, v);
+    p_ += 8;
+  }
+  void Bytes(const void* data, size_t n) {
+    if (n > 0) std::memcpy(p_, data, n);
+    p_ += n;
+  }
+  // Optional u64 as (present, value) — nullopt travels as (0, 0).
+  void OptU64(const std::optional<uint64_t>& v) {
+    U8(v.has_value() ? 1 : 0);
+    U64(v.value_or(0));
+  }
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+ private:
+  uint8_t* p_;
+};
 
-void PutBytes(std::vector<uint8_t>& out, const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  out.insert(out.end(), p, p + n);
-}
-
-// Optional u64 as (present, value) — nullopt travels as (0, 0).
-void PutOptU64(std::vector<uint8_t>& out, const std::optional<uint64_t>& v) {
-  PutU8(out, v.has_value() ? 1 : 0);
-  PutU64(out, v.value_or(0));
-}
+constexpr size_t kOptU64Bytes = 9;
 
 // Sequential little-endian reader over a payload span. Every Read* returns
 // false on underrun without touching the output; decoders translate a false
@@ -59,25 +73,19 @@ class Reader {
   }
   bool ReadU16(uint16_t& v) {
     if (remaining() < 2) return false;
-    v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
+    v = GetU16(data_.data() + pos_);
     pos_ += 2;
     return true;
   }
   bool ReadU32(uint32_t& v) {
     if (remaining() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
+    v = GetU32(data_.data() + pos_);
     pos_ += 4;
     return true;
   }
   bool ReadU64(uint64_t& v) {
     if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
+    v = GetU64(data_.data() + pos_);
     pos_ += 8;
     return true;
   }
@@ -167,14 +175,18 @@ Status MakeStatus(uint8_t code, std::string message, Status& out) {
   return Corrupt("unknown status code");
 }
 
-Status PutStatus(std::vector<uint8_t>& out, const Status& status) {
+// Bytes of (code, message), or kInvalidArgument over the message cap.
+Result<size_t> StatusBytes(const Status& status) {
   if (status.message().size() > kMaxStatusMessageBytes) {
     return Status::InvalidArgument("wire: status message exceeds cap");
   }
-  PutU8(out, static_cast<uint8_t>(status.code()));
-  PutU32(out, static_cast<uint32_t>(status.message().size()));
-  PutBytes(out, status.message().data(), status.message().size());
-  return Status::OK();
+  return 1 + 4 + status.message().size();
+}
+
+void PutStatus(Writer& w, const Status& status) {
+  w.U8(static_cast<uint8_t>(status.code()));
+  w.U32(static_cast<uint32_t>(status.message().size()));
+  w.Bytes(status.message().data(), status.message().size());
 }
 
 Status ReadStatus(Reader& r, Status& out) {
@@ -193,19 +205,24 @@ Status ReadStatus(Reader& r, Status& out) {
 constexpr uint8_t kConstraintPresent = 1;
 constexpr uint8_t kConstraintNegated = 2;
 
-Status PutConstraint(std::vector<uint8_t>& out, const IdConstraint& c) {
+// Bytes of one constraint: its flags byte, then the counted id set.
+Result<size_t> ConstraintBytes(const IdConstraint& c) {
+  if (c.IsUnconstrained()) return 1;
+  if (c.ids()->size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("wire: constraint id set too large");
+  }
+  return 1 + 4 + 4 * c.ids()->size();
+}
+
+void PutConstraint(Writer& w, const IdConstraint& c) {
   uint8_t flags = 0;
   if (!c.IsUnconstrained()) flags |= kConstraintPresent;
   if (c.negated()) flags |= kConstraintNegated;
-  PutU8(out, flags);
-  if (c.IsUnconstrained()) return Status::OK();
+  w.U8(flags);
+  if (c.IsUnconstrained()) return;
   const std::vector<uint32_t>& ids = *c.ids();
-  if (ids.size() > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument("wire: constraint id set too large");
-  }
-  PutU32(out, static_cast<uint32_t>(ids.size()));
-  for (uint32_t id : ids) PutU32(out, id);
-  return Status::OK();
+  w.U32(static_cast<uint32_t>(ids.size()));
+  for (uint32_t id : ids) w.U32(id);
 }
 
 Result<IdConstraint> ReadConstraint(Reader& r) {
@@ -235,16 +252,18 @@ Result<IdConstraint> ReadConstraint(Reader& r) {
 
 // --- ExecLimits -------------------------------------------------------------
 
-void PutLimits(std::vector<uint8_t>& out, const ExecLimits& limits) {
+constexpr size_t kLimitsBytes = 4 * kOptU64Bytes;
+
+void PutLimits(Writer& w, const ExecLimits& limits) {
   std::optional<uint64_t> timeout;
   if (limits.timeout.has_value()) {
     timeout = static_cast<uint64_t>(
         std::max<int64_t>(0, limits.timeout->count()));
   }
-  PutOptU64(out, timeout);
-  PutOptU64(out, limits.max_paths);
-  PutOptU64(out, limits.max_steps);
-  PutOptU64(out, limits.max_bytes);
+  w.OptU64(timeout);
+  w.OptU64(limits.max_paths);
+  w.OptU64(limits.max_steps);
+  w.OptU64(limits.max_bytes);
 }
 
 Result<ExecLimits> ReadLimits(Reader& r) {
@@ -273,30 +292,33 @@ Result<ExecLimits> ReadLimits(Reader& r) {
 
 // --- Framing ----------------------------------------------------------------
 
-Result<std::vector<uint8_t>> SealFrame(FrameType type,
-                                       std::vector<uint8_t> frame,
-                                       size_t max_frame_bytes) {
-  // `frame` arrives with kFrameHeaderBytes of zeros reserved up front.
-  if (frame.size() > max_frame_bytes) {
+// Builds one frame around a payload of exactly `payload_bytes`: checks the
+// frame cap before allocating, lets `write_payload` fill the payload, then
+// writes the header and the CRC.
+template <typename WritePayload>
+Result<std::vector<uint8_t>> SealFrame(FrameType type, size_t payload_bytes,
+                                       size_t max_frame_bytes,
+                                       WritePayload&& write_payload) {
+  const size_t frame_bytes = kFrameHeaderBytes + payload_bytes;
+  if (frame_bytes > max_frame_bytes) {
     return Status::ResourceExhausted(
-        "wire: frame of " + std::to_string(frame.size()) +
+        "wire: frame of " + std::to_string(frame_bytes) +
         " bytes exceeds the " + std::to_string(max_frame_bytes) +
         "-byte cap");
   }
-  const size_t payload = frame.size() - kFrameHeaderBytes;
+  std::vector<uint8_t> frame(frame_bytes);
+  Writer w(frame.data() + kFrameHeaderBytes);
+  write_payload(w);
+  assert(w.pos() == frame.data() + frame.size());
   std::memcpy(frame.data(), kMagic, 4);
   frame[4] = kWireVersion;
   frame[5] = static_cast<uint8_t>(type);
   frame[6] = 0;
   frame[7] = 0;
-  for (int i = 0; i < 4; ++i) {
-    frame[8 + i] = static_cast<uint8_t>(payload >> (8 * i));
-  }
+  PutU32(frame.data() + 8, static_cast<uint32_t>(payload_bytes));
   // CRC over the whole frame with the CRC field itself zeroed (it is).
-  const uint32_t crc = storage::Crc32c(frame.data(), frame.size());
-  for (int i = 0; i < 4; ++i) {
-    frame[kCrcOffset + i] = static_cast<uint8_t>(crc >> (8 * i));
-  }
+  PutU32(frame.data() + kCrcOffset,
+         storage::Crc32c(frame.data(), frame.size()));
   return frame;
 }
 
@@ -336,10 +358,7 @@ ExtractResult ExtractFrame(std::span<const uint8_t> buffer,
     result.state = FrameState::kNeedMore;
     return result;
   }
-  uint32_t payload = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload |= static_cast<uint32_t>(buffer[8 + i]) << (8 * i);
-  }
+  const uint32_t payload = GetU32(buffer.data() + 8);
   // The length gate fires with only the header present: an attacker cannot
   // make the peer buffer (or allocate) more than the cap.
   if (static_cast<uint64_t>(payload) + kFrameHeaderBytes > max_frame_bytes) {
@@ -352,10 +371,7 @@ ExtractResult ExtractFrame(std::span<const uint8_t> buffer,
     result.state = FrameState::kNeedMore;
     return result;
   }
-  uint32_t declared = 0;
-  for (int i = 0; i < 4; ++i) {
-    declared |= static_cast<uint32_t>(buffer[kCrcOffset + i]) << (8 * i);
-  }
+  const uint32_t declared = GetU32(buffer.data() + kCrcOffset);
   // Re-derive the CRC with the checksum field zeroed, without copying the
   // frame: CRC the prefix, extend over four zero bytes, extend over the
   // rest.
@@ -392,21 +408,31 @@ Result<std::vector<uint8_t>> EncodeRequestFrame(const WireRequest& request,
       static_cast<uint8_t>(AnswerMode::kExists)) {
     return Status::InvalidArgument("wire: unknown answer mode");
   }
-  std::vector<uint8_t> frame(kFrameHeaderBytes, 0);
-  PutU8(frame, static_cast<uint8_t>(request.kind));
-  PutU8(frame, static_cast<uint8_t>(request.mode));
-  PutU8(frame, request.priority);
-  PutU32(frame, static_cast<uint32_t>(request.tenant.size()));
-  PutBytes(frame, request.tenant.data(), request.tenant.size());
-  PutOptU64(frame, request.deadline_micros);
-  PutLimits(frame, request.limits);
-  PutU16(frame, static_cast<uint16_t>(request.steps.size()));
+  size_t payload = 3 + 4 + request.tenant.size() + kOptU64Bytes +
+                   kLimitsBytes + 2;
   for (const EdgePattern& step : request.steps) {
-    MRPA_RETURN_IF_ERROR(PutConstraint(frame, step.tail()));
-    MRPA_RETURN_IF_ERROR(PutConstraint(frame, step.label()));
-    MRPA_RETURN_IF_ERROR(PutConstraint(frame, step.head()));
+    for (const IdConstraint* c : {&step.tail(), &step.label(), &step.head()}) {
+      Result<size_t> bytes = ConstraintBytes(*c);
+      if (!bytes.ok()) return bytes.status();
+      payload += *bytes;
+    }
   }
-  return SealFrame(FrameType::kRequest, std::move(frame), max_frame_bytes);
+  return SealFrame(FrameType::kRequest, payload, max_frame_bytes,
+                   [&](Writer& w) {
+                     w.U8(static_cast<uint8_t>(request.kind));
+                     w.U8(static_cast<uint8_t>(request.mode));
+                     w.U8(request.priority);
+                     w.U32(static_cast<uint32_t>(request.tenant.size()));
+                     w.Bytes(request.tenant.data(), request.tenant.size());
+                     w.OptU64(request.deadline_micros);
+                     PutLimits(w, request.limits);
+                     w.U16(static_cast<uint16_t>(request.steps.size()));
+                     for (const EdgePattern& step : request.steps) {
+                       PutConstraint(w, step.tail());
+                       PutConstraint(w, step.label());
+                       PutConstraint(w, step.head());
+                     }
+                   });
 }
 
 Result<WireRequest> DecodeRequestPayload(std::span<const uint8_t> payload) {
@@ -460,51 +486,74 @@ Result<WireRequest> DecodeRequestPayload(std::span<const uint8_t> payload) {
 
 Result<std::vector<uint8_t>> EncodeResponseFrame(const WireResponse& response,
                                                  size_t max_frame_bytes) {
-  std::vector<uint8_t> frame(kFrameHeaderBytes, 0);
-  MRPA_RETURN_IF_ERROR(PutStatus(frame, response.outcome));
+  // Validate and size the payload first: the frame is allocated once, at
+  // its final size.
+  Result<size_t> payload = StatusBytes(response.outcome);
+  if (!payload.ok()) return payload.status();
   if (response.outcome.ok()) {
     if (static_cast<uint8_t>(response.mode) >
         static_cast<uint8_t>(AnswerMode::kExists)) {
       return Status::InvalidArgument("wire: unknown answer mode");
     }
-    PutU8(frame, response.truncated ? 1 : 0);
-    MRPA_RETURN_IF_ERROR(PutStatus(frame, response.limit));
-    PutU64(frame, response.snapshot_version);
-    PutU64(frame, response.attempts);
-    PutU64(frame, response.stats.paths_yielded);
-    PutU64(frame, response.stats.steps_expanded);
-    PutU64(frame, response.stats.bytes_charged);
-    PutU64(frame, static_cast<uint64_t>(response.stats.elapsed_nanos));
-    PutU8(frame, response.stats.truncated ? 1 : 0);
-    PutU8(frame, static_cast<uint8_t>(response.mode));
+    Result<size_t> limit = StatusBytes(response.limit);
+    if (!limit.ok()) return limit.status();
+    // truncated, limit, six u64 counters, stats.truncated, mode.
+    *payload += 1 + *limit + 6 * 8 + 1 + 1;
     switch (response.mode) {
-      case AnswerMode::kPaths: {
+      case AnswerMode::kPaths:
         if (response.paths.size() > std::numeric_limits<uint32_t>::max()) {
           return Status::ResourceExhausted("wire: path set too large");
         }
-        PutU32(frame, static_cast<uint32_t>(response.paths.size()));
+        *payload += 4;
         for (const Path& path : response.paths) {
           if (path.length() > std::numeric_limits<uint32_t>::max()) {
             return Status::ResourceExhausted("wire: path too long");
           }
-          PutU32(frame, static_cast<uint32_t>(path.length()));
-          for (const Edge& e : path) {
-            PutU32(frame, e.tail);
-            PutU32(frame, e.label);
-            PutU32(frame, e.head);
-          }
+          *payload += 4 + 12 * path.length();
         }
         break;
-      }
       case AnswerMode::kCount:
-        PutU64(frame, response.count);
+        *payload += 8;
         break;
       case AnswerMode::kExists:
-        PutU8(frame, response.exists ? 1 : 0);
+        *payload += 1;
         break;
     }
   }
-  return SealFrame(FrameType::kResponse, std::move(frame), max_frame_bytes);
+  return SealFrame(
+      FrameType::kResponse, *payload, max_frame_bytes, [&](Writer& w) {
+        PutStatus(w, response.outcome);
+        if (!response.outcome.ok()) return;
+        w.U8(response.truncated ? 1 : 0);
+        PutStatus(w, response.limit);
+        w.U64(response.snapshot_version);
+        w.U64(response.attempts);
+        w.U64(response.stats.paths_yielded);
+        w.U64(response.stats.steps_expanded);
+        w.U64(response.stats.bytes_charged);
+        w.U64(static_cast<uint64_t>(response.stats.elapsed_nanos));
+        w.U8(response.stats.truncated ? 1 : 0);
+        w.U8(static_cast<uint8_t>(response.mode));
+        switch (response.mode) {
+          case AnswerMode::kPaths:
+            w.U32(static_cast<uint32_t>(response.paths.size()));
+            for (const Path& path : response.paths) {
+              w.U32(static_cast<uint32_t>(path.length()));
+              for (const Edge& e : path) {
+                w.U32(e.tail);
+                w.U32(e.label);
+                w.U32(e.head);
+              }
+            }
+            break;
+          case AnswerMode::kCount:
+            w.U64(response.count);
+            break;
+          case AnswerMode::kExists:
+            w.U8(response.exists ? 1 : 0);
+            break;
+        }
+      });
 }
 
 Result<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload) {
@@ -594,23 +643,49 @@ Result<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload) {
   return response;
 }
 
-WireResponse MakeWireResponse(const service::QueryResponse& response,
-                              AnswerMode mode) {
+namespace {
+
+// Everything but the paths: the degradation contract and the summary. A
+// summary-mode result carries its own count; a kPaths result is reduced
+// here. Projected into kExists, a non-empty answer is definitive: it
+// travels untruncated with an OK limit, as a kExists run reports it.
+WireResponse ProjectSummary(const service::QueryResponse& response,
+                            AnswerMode mode) {
+  const GovernedPathSet& result = response.result;
   WireResponse wire;
-  wire.truncated = response.result.truncated;
-  wire.limit = response.result.limit;
+  wire.truncated = result.truncated;
+  wire.limit = result.limit;
   wire.snapshot_version = response.snapshot_version;
   wire.attempts = response.attempts;
-  wire.stats = response.result.stats;
+  wire.stats = result.stats;
   wire.mode = mode;
-  wire.exists = !response.result.paths.empty();
+  wire.exists = result.AnswerCount() > 0;
   // The count is mode-faithful: kExists ships one bit, so the projected
   // count collapses with it — what this helper returns is exactly what a
   // client decodes after the round trip.
-  wire.count =
-      mode == AnswerMode::kExists ? (wire.exists ? 1 : 0)
-                                  : response.result.paths.size();
+  wire.count = mode == AnswerMode::kExists ? (wire.exists ? 1 : 0)
+                                           : result.AnswerCount();
+  if (mode == AnswerMode::kExists && wire.exists) {
+    wire.truncated = false;
+    wire.limit = Status::OK();
+    wire.stats.truncated = false;
+  }
+  return wire;
+}
+
+}  // namespace
+
+WireResponse MakeWireResponse(const service::QueryResponse& response,
+                              AnswerMode mode) {
+  WireResponse wire = ProjectSummary(response, mode);
   if (mode == AnswerMode::kPaths) wire.paths = response.result.paths;
+  return wire;
+}
+
+WireResponse MakeWireResponse(service::QueryResponse&& response,
+                              AnswerMode mode) {
+  WireResponse wire = ProjectSummary(response, mode);
+  if (mode == AnswerMode::kPaths) wire.paths = std::move(response.result.paths);
   return wire;
 }
 

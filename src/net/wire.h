@@ -27,6 +27,15 @@
 //      frame. The truncation framing survives all three modes: a truncated
 //      count is labeled partial exactly like a truncated path set.
 //
+//      The server runs the mode inside the fold (service::QueryRequest::mode,
+//      DESIGN.md "Answer modes"), so a summary never sorts, materializes or
+//      frees a path. kCount makes every guard call kPaths makes: its
+//      (count, truncated, limit, stats minus elapsed) are enumerate-then-
+//      reduce's. kExists makes them only up to the first full-length path,
+//      then answers exists = true, untruncated, limit OK, with no more
+//      steps_expanded than enumeration; a trip before any path reports
+//      enumeration's truncated and limit with exists = false.
+//
 // Frame layout (all integers little-endian at fixed offsets):
 //
 //   [0..3]   magic 'M''R''P''W'
@@ -76,12 +85,9 @@ enum class FrameType : uint8_t {
   kResponse = 2,
 };
 
-// How the answer travels (see the file comment).
-enum class AnswerMode : uint8_t {
-  kPaths = 0,
-  kCount = 1,
-  kExists = 2,
-};
+// How the answer is computed and travels (see the file comment). The enum
+// lives in core, next to the governed result it shapes.
+using AnswerMode = ::mrpa::AnswerMode;
 
 // One query as it crosses the wire. Mirrors service::QueryRequest, plus the
 // transport-only fields: the answer mode, a priority byte (carried for
@@ -171,8 +177,14 @@ Result<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload);
 
 // The response QueryService hands back, projected into `mode`. kCount and
 // kExists drop the materialized paths (the summary plus the full
-// degradation contract travel; the path flood does not).
+// degradation contract travel; the path flood does not). `response` ran in
+// `mode` itself or in kPaths; a kPaths response projected into kExists
+// follows the exists contract — non-empty means exists, untruncated, limit
+// OK — except that its stats stay enumeration's. The rvalue overload moves
+// the paths instead of copying them (the server's path).
 WireResponse MakeWireResponse(const service::QueryResponse& response,
+                              AnswerMode mode);
+WireResponse MakeWireResponse(service::QueryResponse&& response,
                               AnswerMode mode);
 
 // A client-side degraded answer in the exact shape QueryService uses for

@@ -195,7 +195,8 @@ Result<QueryResponse> QueryService::ExecuteOnce(
       break;
   }
   Result<GovernedPathSet> governed =
-      EvaluateChainGoverned(guard.universe(), request.steps, direction, ctx);
+      EvaluateChainGoverned(guard.universe(), request.steps, direction, ctx,
+                            /*limits=*/{}, /*density=*/{}, request.mode);
   if (!governed.ok()) return governed.status();
 
   // A transient fault injected at an ExecContext probe site surfaces as a

@@ -41,6 +41,20 @@
 // untruncated answer is the same set in every direction (⋈◦ associativity).
 // Deadline and cancellation trips depend on wall clock and truncate at an
 // emission-order-prefix point.
+//
+// Answer modes (DESIGN.md "Answer modes"): QueryRequest::mode runs inside
+// the fold, at its final level, so a summary answer never sorts,
+// materializes or frees a path.
+//   kCount  — result.count is the number of full-length paths; `paths` stays
+//             empty. Every guard call is the one kPaths makes, in the same
+//             order, so (count, truncated, limit, stats minus elapsed) equal
+//             the kPaths run's (|paths|, truncated, limit, stats minus
+//             elapsed) — truncated partial counts included.
+//   kExists — the guard calls are kPaths's up to the first full-length path,
+//             where the fold stops: count 1, truncated false, limit OK, and
+//             stats.steps_expanded no more than kPaths reports. When kPaths
+//             would trip before its first path, kExists trips at the same
+//             point: count 0, with kPaths's truncated, limit and stats.
 
 #ifndef MRPA_SERVICE_QUERY_SERVICE_H_
 #define MRPA_SERVICE_QUERY_SERVICE_H_
@@ -84,6 +98,8 @@ enum class QueryKind {
 
 struct QueryRequest {
   QueryKind kind = QueryKind::kTraversal;
+  // How the answer is computed and returned (see the file comment).
+  AnswerMode mode = AnswerMode::kPaths;
   // One EdgePattern per step, as in TraversalSpec / EvaluateChain.
   std::vector<EdgePattern> steps;
   // The caller's budgets; the tenant's quota ceilings clamp them
@@ -96,8 +112,8 @@ struct QueryRequest {
 };
 
 struct QueryResponse {
-  // Paths, truncation flag, terminal Status, and ExecStats — the standard
-  // governed result shape.
+  // Paths (or, in a summary mode, the count), truncation flag, terminal
+  // Status, and ExecStats — the standard governed result shape.
   GovernedPathSet result;
   // Snapshot image version the successful attempt ran against (0 when the
   // request never reached a snapshot, e.g. a shed).

@@ -58,6 +58,7 @@
 #include <type_traits>
 
 #include "core/edge.h"
+#include "util/little_endian.h"
 
 namespace mrpa::storage {
 
@@ -142,27 +143,6 @@ struct SectionEntry {
 // Where section payloads begin.
 inline constexpr size_t kPayloadStart =
     kHeaderBytes + kSectionCount * kDirEntryBytes;
-
-// Little-endian field access over raw bytes. Byte-by-byte, so they are
-// correct regardless of host endianness and alignment.
-inline void PutU32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-inline void PutU64(uint8_t* p, uint64_t v) {
-  PutU32(p, static_cast<uint32_t>(v));
-  PutU32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-inline uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-inline uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
 
 // Rounds `n` up to the section alignment.
 inline constexpr uint64_t AlignUp(uint64_t n) {

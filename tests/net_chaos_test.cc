@@ -309,10 +309,21 @@ TEST(NetChaosTest, SocketSoakHoldsTheDifferentialInvariant) {
             IntersectLimits(request.limits, quota.query_limits);
         const GovernedPathSet want = Oracle(
             references[content], request.kind, request.steps, effective);
-        ASSERT_EQ(response->truncated, want.truncated)
-            << "tenant " << tenant << " version "
-            << response->snapshot_version;
-        ASSERT_EQ(response->limit, want.limit);
+        // The exists rule (DESIGN.md "Answer modes"): a path enumeration
+        // reaches before any trip answers the question, so the exists
+        // answer is untruncated with an OK limit and no more steps than
+        // enumeration; with no such path, enumeration's outcome stands.
+        const bool exists_answered =
+            request.mode == AnswerMode::kExists && !want.paths.empty();
+        if (exists_answered) {
+          ASSERT_FALSE(response->truncated);
+          ASSERT_TRUE(response->limit.ok()) << response->limit;
+        } else {
+          ASSERT_EQ(response->truncated, want.truncated)
+              << "tenant " << tenant << " version "
+              << response->snapshot_version;
+          ASSERT_EQ(response->limit, want.limit);
+        }
         const PathSet forward = response->truncated
                                     ? PathSet{}
                                     : ForwardFold(references[content],
@@ -335,6 +346,17 @@ TEST(NetChaosTest, SocketSoakHoldsTheDifferentialInvariant) {
             ASSERT_TRUE(response->paths.empty());
             if (!response->truncated) {
               ASSERT_EQ(response->exists, !forward.empty());
+            }
+            if (exists_answered) {
+              ASSERT_LE(response->stats.steps_expanded,
+                        want.stats.steps_expanded);
+            } else {
+              ASSERT_EQ(response->stats.paths_yielded,
+                        want.stats.paths_yielded);
+              ASSERT_EQ(response->stats.steps_expanded,
+                        want.stats.steps_expanded);
+              ASSERT_EQ(response->stats.bytes_charged,
+                        want.stats.bytes_charged);
             }
             break;
         }

@@ -138,6 +138,7 @@ TEST(NetClientTest, ExecuteMatchesDirectServiceForEveryMode) {
     direct.steps = Steps();
     auto expected = stack.service->Execute("tenant", direct);
     ASSERT_TRUE(expected.ok()) << expected.status();
+    GovernedPathSet enumerated;
     {
       // Mirrors QueryService::ExecuteOnce's dispatch: one
       // EvaluateChainGoverned, in the direction PlanChain picks for
@@ -157,6 +158,7 @@ TEST(NetClientTest, ExecuteMatchesDirectServiceForEveryMode) {
       EXPECT_EQ(expected->result.paths, planned->paths);
       EXPECT_EQ(expected->result.truncated, planned->truncated);
       EXPECT_EQ(expected->result.limit, planned->limit);
+      enumerated = std::move(*planned);
       if (!expected->result.truncated) {
         // Whatever the direction, the full answer is the forward fold's.
         ExecContext unlimited;
@@ -183,6 +185,19 @@ TEST(NetClientTest, ExecuteMatchesDirectServiceForEveryMode) {
       EXPECT_EQ(got->paths, oracle.paths);
       EXPECT_EQ(got->count, oracle.count);
       EXPECT_EQ(got->exists, oracle.exists);
+      if (mode == AnswerMode::kExists) {
+        // The exists rule against the enumeration: a path answers it,
+        // untruncated with no more steps; none leaves enumeration's stats.
+        EXPECT_EQ(got->exists, !enumerated.paths.empty());
+        if (got->exists) {
+          EXPECT_FALSE(got->truncated);
+          EXPECT_LE(got->stats.steps_expanded,
+                    enumerated.stats.steps_expanded);
+        } else {
+          EXPECT_EQ(got->stats.steps_expanded,
+                    enumerated.stats.steps_expanded);
+        }
+      }
     }
   }
 }

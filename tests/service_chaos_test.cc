@@ -178,6 +178,40 @@ PathSet ForwardFold(const SnapshotUniverse& universe,
   return run.ok() ? std::move(run->paths) : PathSet{};
 }
 
+// A summary-mode answer against the enumeration the oracle ran, and against
+// the full forward answer when untruncated (DESIGN.md "Answer modes").
+// kCount is enumerate-then-reduce exactly. kExists: a path enumeration
+// reaches before any trip answers it — count 1, untruncated, limit OK, no
+// more steps; with none, enumeration's outcome and stats stand.
+void ExpectSummaryMatches(const GovernedPathSet& got,
+                          const GovernedPathSet& want, AnswerMode mode,
+                          const SnapshotUniverse& reference,
+                          const std::vector<EdgePattern>& steps) {
+  ASSERT_EQ(got.mode, mode);
+  ASSERT_TRUE(got.paths.empty());
+  if (mode == AnswerMode::kExists && !want.paths.empty()) {
+    ASSERT_EQ(got.count, 1u);
+    ASSERT_FALSE(got.truncated);
+    ASSERT_TRUE(got.limit.ok()) << got.limit;
+    ASSERT_LE(got.stats.steps_expanded, want.stats.steps_expanded);
+  } else {
+    ASSERT_EQ(got.count, mode == AnswerMode::kCount ? want.paths.size()
+                                                    : uint64_t{0});
+    ASSERT_EQ(got.truncated, want.truncated);
+    ASSERT_EQ(got.limit, want.limit)
+        << "got " << got.limit << " want " << want.limit;
+    ASSERT_EQ(got.stats.paths_yielded, want.stats.paths_yielded);
+    ASSERT_EQ(got.stats.steps_expanded, want.stats.steps_expanded);
+    ASSERT_EQ(got.stats.bytes_charged, want.stats.bytes_charged);
+  }
+  if (!got.truncated) {
+    const PathSet forward = ForwardFold(reference, steps);
+    const uint64_t full =
+        mode == AnswerMode::kCount ? forward.size() : !forward.empty();
+    ASSERT_EQ(got.count, full);
+  }
+}
+
 struct SoakCounters {
   std::atomic<uint64_t> complete{0};
   std::atomic<uint64_t> truncated{0};
@@ -260,6 +294,7 @@ TEST(ServiceChaosTest, SoakHoldsTheDifferentialInvariant) {
         const auto& [tenant, quota] = tenants[rng.Below(tenants.size())];
         QueryRequest request;
         request.kind = static_cast<QueryKind>(rng.Below(3));
+        request.mode = static_cast<AnswerMode>(rng.Below(3));
         request.steps = specs[rng.Below(specs.size())];
         switch (rng.Below(4)) {
           case 0:
@@ -317,15 +352,20 @@ TEST(ServiceChaosTest, SoakHoldsTheDifferentialInvariant) {
             IntersectLimits(request.limits, quota.query_limits);
         const GovernedPathSet want =
             Oracle(references[content], request, effective);
-        ASSERT_EQ(got.paths, want.paths)
-            << "tenant " << tenant << " version "
-            << response->snapshot_version << " content " << content;
-        ASSERT_EQ(got.truncated, want.truncated);
-        ASSERT_EQ(got.limit, want.limit)
-            << "got " << got.limit << " want " << want.limit;
-        if (!got.truncated) {
-          ASSERT_EQ(got.paths,
-                    ForwardFold(references[content], request.steps));
+        if (request.mode != AnswerMode::kPaths) {
+          ExpectSummaryMatches(got, want, request.mode, references[content],
+                               request.steps);
+        } else {
+          ASSERT_EQ(got.paths, want.paths)
+              << "tenant " << tenant << " version "
+              << response->snapshot_version << " content " << content;
+          ASSERT_EQ(got.truncated, want.truncated);
+          ASSERT_EQ(got.limit, want.limit)
+              << "got " << got.limit << " want " << want.limit;
+          if (!got.truncated) {
+            ASSERT_EQ(got.paths,
+                      ForwardFold(references[content], request.steps));
+          }
         }
         counters.checked.fetch_add(1, std::memory_order_relaxed);
         if (got.truncated) {
@@ -500,6 +540,7 @@ TEST(ServiceChaosTest, LiveCompactionSoakHoldsTheDifferentialInvariant) {
         const auto& [tenant, quota] = tenants[rng.Below(tenants.size())];
         QueryRequest request;
         request.kind = static_cast<QueryKind>(rng.Below(3));
+        request.mode = static_cast<AnswerMode>(rng.Below(3));
         request.steps = specs[rng.Below(specs.size())];
         switch (rng.Below(4)) {
           case 0:
@@ -552,14 +593,19 @@ TEST(ServiceChaosTest, LiveCompactionSoakHoldsTheDifferentialInvariant) {
         const ExecLimits effective =
             IntersectLimits(request.limits, quota.query_limits);
         const GovernedPathSet want = Oracle(reference, request, effective);
-        ASSERT_EQ(got.paths, want.paths)
-            << "tenant " << tenant << " version "
-            << response->snapshot_version;
-        ASSERT_EQ(got.truncated, want.truncated);
-        ASSERT_EQ(got.limit, want.limit)
-            << "got " << got.limit << " want " << want.limit;
-        if (!got.truncated) {
-          ASSERT_EQ(got.paths, ForwardFold(reference, request.steps));
+        if (request.mode != AnswerMode::kPaths) {
+          ExpectSummaryMatches(got, want, request.mode, reference,
+                               request.steps);
+        } else {
+          ASSERT_EQ(got.paths, want.paths)
+              << "tenant " << tenant << " version "
+              << response->snapshot_version;
+          ASSERT_EQ(got.truncated, want.truncated);
+          ASSERT_EQ(got.limit, want.limit)
+              << "got " << got.limit << " want " << want.limit;
+          if (!got.truncated) {
+            ASSERT_EQ(got.paths, ForwardFold(reference, request.steps));
+          }
         }
         counters.checked.fetch_add(1, std::memory_order_relaxed);
         if (got.truncated) {
